@@ -14,6 +14,7 @@ from .assembly import (
     AssembledSystem,
     CoercivityEstimates,
     DofMap,
+    MeshOperators,
     ProblemData,
     assemble_boundary_mass,
     assemble_load,
@@ -22,6 +23,7 @@ from .assembly import (
     assemble_system,
     build_dof_map,
     estimate_coercivity,
+    mesh_operators,
     v0_seminorm,
     v_norm,
 )

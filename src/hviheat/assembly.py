@@ -9,10 +9,15 @@ namely the stiffness matrix ``a(u,v) = integral grad(u).grad(v)``, the domain
 mass matrix, the load vector ``L(v) = integral g v - integral_{G2} q v``, and
 the G3 edge mass (consistent matrix and lumped weights).  All quadrature is
 exact for P1 fields, so no quadrature error enters downstream tolerances.
+
+Everything that depends on the mesh alone is validated and assembled once
+per mesh: ``mesh_operators`` returns the mesh's ``MeshOperators`` bundle,
+which solvers, certificates and experiments share.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Mapping
@@ -28,6 +33,7 @@ __all__ = [
     "AssembledSystem",
     "CoercivityEstimates",
     "DofMap",
+    "MeshOperators",
     "VertexClass",
     "AssemblyError",
     "ConvergenceError",
@@ -36,6 +42,8 @@ __all__ = [
     "assemble_load",
     "assemble_boundary_mass",
     "build_dof_map",
+    "mesh_operators",
+    "mesh_report",
     "assemble_system",
     "estimate_coercivity",
     "export_coo",
@@ -223,12 +231,6 @@ def build_dof_map(mesh: Mesh, space: str = "V0") -> DofMap:
     return DofMap(space=space, vertex_class=classes, fixed=fixed)
 
 
-def _require_valid(mesh: Mesh) -> None:
-    report = validate_mesh(mesh)
-    if report:
-        raise AssemblyError("invalid mesh: " + "; ".join(report[:4]))
-
-
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Stiffness matrix of the Dirichlet form, by exact P1 gradient quadrature.
 
@@ -276,7 +278,7 @@ def assemble_load(mesh: Mesh, data: ProblemData) -> np.ndarray:
     ``f_v = integral g phi_v dx - integral_{G2} q phi_v ds`` with exact P1
     mass quadrature; the flux enters with a minus sign.
     """
-    f = assemble_mass(mesh) @ data.g
+    f = mesh_operators(mesh).mass @ data.g
     g2_edges = mesh.edges_with_tag(BoundaryTag.GAMMA2)
     if len(g2_edges):
         lengths = mesh.edge_lengths(g2_edges)
@@ -310,6 +312,90 @@ def assemble_boundary_mass(mesh: Mesh) -> tuple[np.ndarray, sp.csr_matrix]:
     return weights, consistent
 
 
+def _freeze(*items) -> None:
+    """Make arrays, and the arrays of sparse matrices, read-only."""
+    for item in items:
+        arrays = (item.data, item.indices, item.indptr) if sp.issparse(item) else (item,)
+        for array in arrays:
+            array.setflags(write=False)
+
+
+class MeshOperators:
+    """Everything that depends on one mesh alone, built once and shared.
+
+    ``report`` is the mesh's ``validate_mesh`` report.  A valid mesh's
+    bundle also holds the stiffness and mass matrices, the G3 lumped
+    weights and consistent mass, the ``V0`` and ``K0`` dof maps, the index
+    sets ``bulk`` (vertices on neither G1 nor G3) and ``gamma3``, and the
+    stiffness block ``bulk_block`` of the bulk rows and columns, which does
+    not depend on the data or the exchange coefficient.  Its arrays are
+    read-only.  Members that only some solvers need, such as
+    a factorization, are built by ``once`` on first use.  Get a bundle from
+    ``mesh_operators``; it lives as long as its mesh.
+    """
+
+    def __init__(self, mesh: Mesh):
+        self.report = tuple(validate_mesh(mesh))
+        self.lock = threading.RLock()
+        self._derived: dict[str, object] = {}
+        if self.report:
+            return
+        self.stiffness = assemble_stiffness(mesh)
+        self.mass = assemble_mass(mesh)
+        self.gamma3_weights, self.gamma3_mass = assemble_boundary_mass(mesh)
+        self.dof_v0 = build_dof_map(mesh, "V0")
+        self.dof_k0 = build_dof_map(mesh, "K0")
+        classes = self.dof_v0.vertex_class
+        self.bulk = np.nonzero(classes == VertexClass.FREE)[0]
+        self.gamma3 = np.nonzero(classes == VertexClass.GAMMA3)[0]
+        self.bulk_block = self.stiffness[self.bulk][:, self.bulk]
+        _freeze(
+            self.stiffness, self.mass, self.gamma3_weights, self.gamma3_mass,
+            self.dof_v0.vertex_class, self.dof_v0.fixed, self.dof_k0.vertex_class,
+            self.dof_k0.fixed, self.bulk, self.gamma3, self.bulk_block,
+        )
+
+    def once(self, key: str, build: Callable[[], object]):
+        """``build()`` on the first call for ``key``, its cached result after.
+
+        Runs under the bundle's lock, so concurrent callers build it once.
+        """
+        with self.lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
+
+
+_ATTACH_LOCK = threading.Lock()
+
+
+def _attached_operators(mesh: Mesh) -> MeshOperators:
+    ops = mesh._operators
+    if ops is None:
+        with _ATTACH_LOCK:
+            ops = mesh._operators
+            if ops is None:
+                ops = MeshOperators(mesh)
+                object.__setattr__(mesh, "_operators", ops)
+    return ops
+
+
+def mesh_report(mesh: Mesh) -> tuple[str, ...]:
+    """``validate_mesh``'s report, computed once per mesh."""
+    return _attached_operators(mesh).report
+
+
+def mesh_operators(mesh: Mesh) -> MeshOperators:
+    """The mesh's operator bundle, built on first use and kept with the mesh.
+
+    Raises ``AssemblyError`` when the mesh fails validation.
+    """
+    ops = _attached_operators(mesh)
+    if ops.report:
+        raise AssemblyError("invalid mesh: " + "; ".join(ops.report[:4]))
+    return ops
+
+
 @dataclass(frozen=True)
 class AssembledSystem:
     """Everything a solver needs, assembled once over the full vertex set."""
@@ -329,17 +415,16 @@ class AssembledSystem:
 
 
 def assemble_system(mesh: Mesh, data: ProblemData) -> AssembledSystem:
-    """Assemble stiffness, mass, load, G3 mass, and the V0 constraint map."""
-    _require_valid(mesh)
-    weights, consistent = assemble_boundary_mass(mesh)
+    """The load of ``data`` with the mesh's stiffness, mass, G3 mass and V0 map."""
+    ops = mesh_operators(mesh)
     return AssembledSystem(
         mesh=mesh,
-        stiffness=assemble_stiffness(mesh),
-        mass=assemble_mass(mesh),
+        stiffness=ops.stiffness,
+        mass=ops.mass,
         load=assemble_load(mesh, data),
-        gamma3_weights=weights,
-        gamma3_mass=consistent,
-        dof_map=build_dof_map(mesh, "V0"),
+        gamma3_weights=ops.gamma3_weights,
+        gamma3_mass=ops.gamma3_mass,
+        dof_map=ops.dof_v0,
         data=data,
     )
 
@@ -398,13 +483,11 @@ def estimate_coercivity(
     obtained by inverse/power iteration with the stiffness factorized once,
     stopping when the Rayleigh quotient is stable to ``tol`` relative.
     """
-    _require_valid(mesh)
-    dof = build_dof_map(mesh, "V0")
-    free = dof.free_indices
-    A = assemble_stiffness(mesh).tocsc()[free][:, free]
-    M = assemble_mass(mesh).tocsr()[free][:, free]
-    _, Mg3_full = assemble_boundary_mass(mesh)
-    Mg3 = Mg3_full.tocsr()[free][:, free]
+    ops = mesh_operators(mesh)
+    free = ops.dof_v0.free_indices
+    A = ops.stiffness.tocsc()[free][:, free]
+    M = ops.mass.tocsr()[free][:, free]
+    Mg3 = ops.gamma3_mass.tocsr()[free][:, free]
 
     lu = spla.splu(A.tocsc())
     start = np.ones(len(free))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import ProblemData
+from .assembly import ProblemData, mesh_report
 from .expressions import ExpressionError, compile_expression
 from .hvi_solver import (
     SolveReport,
@@ -29,7 +29,8 @@ from .hvi_solver import (
     solve_robin,
     solve_vi_convex,
 )
-from .mesh import Mesh, MeshFormatError, generate_unit_square_mesh, load_mesh, validate_mesh
+from .mesh import Mesh, MeshFormatError, generate_unit_square_mesh, load_mesh
+from .mesh import validate_mesh  # noqa: F401  (re-exported for code that reads it from here)
 from .potentials import (
     Potential,
     UnknownPotentialError,
@@ -366,7 +367,8 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
         if not path.exists():
             raise FileNotFoundError(f"mesh file not found: {path}")
         mesh = load_mesh(path.read_text(encoding="utf-8"))
-        report = validate_mesh(mesh)
+        # the report is kept with the mesh, so the solves do not validate again
+        report = mesh_report(mesh)
         if report:
             raise ConfigError([f"mesh file {path}: {msg}" for msg in report])
         return mesh

@@ -34,10 +34,12 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     AssembledSystem,
+    MeshOperators,
     ProblemData,
     VertexClass,
+    _freeze,
     assemble_system,
-    build_dof_map,
+    mesh_operators,
     v0_seminorm,
     v_norm,
 )
@@ -131,10 +133,58 @@ class SolveReport:
     damping_history: tuple[float, ...] = ()
 
 
+class _SharedFactor:
+    """A factorization shared by every solve on one mesh.
+
+    SciPy does not promise that ``SuperLU.solve`` may run concurrently on
+    one factor, so back-solves take the owning bundle's lock.
+    """
+
+    def __init__(self, lu, lock):
+        self._lu = lu
+        self._lock = lock
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        with self._lock:
+            return self._lu.solve(rhs)
+
+
+def _bulk_factor(ops: MeshOperators) -> _SharedFactor:
+    """Factorization of the mesh's bulk block, built on first use."""
+    return ops.once(
+        "bulk_factor", lambda: _SharedFactor(spla.splu(sp.csc_matrix(ops.bulk_block)), ops.lock)
+    )
+
+
+def _trace_reduction(ops: MeshOperators) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
+    """``(A_bg, A_gb, S)``: the bulk/G3 coupling blocks and the Schur complement.
+
+    ``S = A_gg - A_gb A_bb^-1 A_bg`` is the stiffness reduced to the G3
+    trace; it is dense, one column per G3 node.
+    """
+
+    def build():
+        A, bulk, g3 = ops.stiffness, ops.bulk, ops.gamma3
+        A_bg = A[bulk][:, g3].toarray()
+        A_gb = A[g3][:, bulk]
+        schur = A[g3][:, g3].toarray() - A_gb @ _bulk_factor(ops).solve(A_bg)
+        _freeze(A_bg, A_gb, schur)
+        return A_bg, A_gb, schur
+
+    return ops.once("trace_reduction", build)
+
+
 def _linear_solve(
-    A: sp.spmatrix, rhs: np.ndarray, opts: SolverOptions
+    A: sp.spmatrix,
+    rhs: np.ndarray,
+    opts: SolverOptions,
+    factor=None,
 ) -> tuple[np.ndarray, float]:
-    """SPD solve: sparse factorization at desk scale, CG above the cutoff."""
+    """SPD solve: sparse factorization at desk scale, CG above the cutoff.
+
+    ``factor``, when given, returns a factorization of ``A`` on demand; the
+    direct path then reuses it instead of factoring ``A`` again.
+    """
     n = A.shape[0]
     method = opts.linear_solver
     if method == "auto":
@@ -143,7 +193,7 @@ def _linear_solve(
     history: list[float] = []
 
     if method == "direct":
-        lu = spla.splu(sp.csc_matrix(A))
+        lu = factor() if factor is not None else spla.splu(sp.csc_matrix(A))
         x = lu.solve(rhs)
         res = float(np.linalg.norm(rhs - A @ x))
         history.append(res)
@@ -177,7 +227,7 @@ def _make_solution(u: np.ndarray, system: AssembledSystem, provenance: dict) -> 
 
 def _check_anchor(data: ProblemData, p: Potential, mesh: Mesh) -> None:
     b_vec = data.b_nodal(mesh)
-    g3 = build_dof_map(mesh, "V0").vertex_class == VertexClass.GAMMA3
+    g3 = mesh_operators(mesh).gamma3
     if np.any(b_vec[g3] != p.b):
         raise ValueError(
             f"potential anchored at b={p.b:g} but the problem datum on G3 differs"
@@ -217,17 +267,18 @@ def solve_dirichlet(
     unique; the report's certificate carries the free-row residual.
     """
     system = assemble_system(mesh, data)
-    k0 = build_dof_map(mesh, "K0")
+    ops = mesh_operators(mesh)
     nv = mesh.num_vertices
     u = np.zeros(nv)
-    g3 = k0.vertex_class == VertexClass.GAMMA3
+    g3 = ops.gamma3
     u[g3] = data.b_nodal(mesh)[g3]
 
-    free = k0.free_indices
-    fixed = k0.fixed_indices
+    # the K0 free set is the bulk set, so the bulk factor solves this system
+    free = ops.bulk
+    fixed = ops.dof_k0.fixed_indices
     A = system.stiffness
     rhs = system.load[free] - A[free][:, fixed] @ u[fixed]
-    x, relres = _linear_solve(A[free][:, free], rhs, opts)
+    x, relres = _linear_solve(ops.bulk_block, rhs, opts, factor=lambda: _bulk_factor(ops))
     u[free] = x
 
     residual = float(np.max(np.abs((A @ u - system.load)[free]))) if len(free) else 0.0
@@ -413,27 +464,23 @@ def solve_vi_convex(
     the G3 trace that cyclic coordinate-wise proximal descent solves; each
     coordinate update applies the scalar resolvent of ``tau * dj`` in closed
     form (or by bisection for the power-law extras).  The result is checked
-    against the same certificate as the general solver.
+    against the same certificate as the general solver.  The factorization
+    and the Schur complement depend on the mesh alone, so every solve on one
+    mesh shares them.
     """
     if not p.convex:
         raise ValueError(f"potential {p.id!r} is not convex; use solve_hvi instead")
     _check_anchor(data, p, mesh)
     system = assemble_system(mesh, data)
-    A = sp.csr_matrix(system.stiffness)
+    ops = mesh_operators(mesh)
     f = system.load
     alpha = data.alpha
-    dof = system.dof_map
-    g3 = system.gamma3_nodes
+    g3 = ops.gamma3
     m = system.gamma3_weights[g3]
-    free_mask = ~dof.fixed
-    bulk = np.nonzero(free_mask & (dof.vertex_class != VertexClass.GAMMA3))[0]
+    bulk = ops.bulk
 
-    A_bb = sp.csc_matrix(A[bulk][:, bulk])
-    A_bg = A[bulk][:, g3].toarray()
-    A_gb = A[g3][:, bulk]
-    lu = spla.splu(A_bb)
-
-    schur = A[g3][:, g3].toarray() - A_gb @ lu.solve(A_bg)
+    lu = _bulk_factor(ops)
+    A_bg, A_gb, schur = _trace_reduction(ops)
     f_red = f[g3] - A_gb @ lu.solve(f[bulk])
 
     u_g = _initial_iterate(mesh, data, opts)[g3]
@@ -454,7 +501,7 @@ def solve_vi_convex(
     u = np.zeros(mesh.num_vertices)
     u[g3] = u_g
     u[bulk] = lu.solve(f[bulk] - A_bg @ u_g)
-    bulk_res = f[bulk] - A[bulk][:, bulk] @ u[bulk] - A_bg @ u_g
+    bulk_res = f[bulk] - ops.bulk_block @ u[bulk] - A_bg @ u_g
     relres = float(np.linalg.norm(bulk_res) / max(np.linalg.norm(f[bulk]), 1e-300))
 
     cert = _certificate(system, p, u)

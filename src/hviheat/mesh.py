@@ -8,12 +8,13 @@ The boundary of every mesh is split into three tagged portions:
   multivalued subdifferential law.
 
 Each portion must be nonempty (it must have positive length).  Meshes are
-immutable after construction and safe to share across threads.
+immutable after construction (their arrays are read-only copies) and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,6 +68,9 @@ class Mesh:
     interface_vertices : tuple of int
         Vertices declared as legitimate meeting points of the G1 and G3
         portions.  On such vertices the Dirichlet-dominant rule applies.
+
+    The arrays are copied at construction and read-only, so everything
+    derived from a mesh stays valid for its lifetime.
     """
 
     vertices: np.ndarray
@@ -74,11 +78,15 @@ class Mesh:
     boundary_edges: np.ndarray
     boundary_tags: tuple[BoundaryTag, ...]
     interface_vertices: tuple[int, ...] = ()
+    # the operator bundle of ``hviheat.assembly.mesh_operators``, built on
+    # first use and freed with the mesh
+    _operators: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        object.__setattr__(self, "triangles", np.asarray(self.triangles, dtype=np.int64))
-        object.__setattr__(self, "boundary_edges", np.asarray(self.boundary_edges, dtype=np.int64))
+        for name, dtype in (("vertices", float), ("triangles", np.int64), ("boundary_edges", np.int64)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
 
     # -- basic counts -----------------------------------------------------
@@ -133,9 +141,9 @@ class Mesh:
         remaining vertices, those incident to a G3 edge are G3 vertices.
         Essential conditions must win at corners for conforming P1 spaces.
         """
-        g3 = self.vertices_incident_to(BoundaryTag.GAMMA3)
-        g1 = set(self.gamma1_vertices().tolist())
-        return np.asarray([v for v in g3.tolist() if v not in g1], dtype=np.int64)
+        return np.setdiff1d(
+            self.vertices_incident_to(BoundaryTag.GAMMA3), self.gamma1_vertices()
+        )
 
     # -- structural equality ------------------------------------------------
 
@@ -210,14 +218,15 @@ def generate_unit_square_mesh(n: int) -> Mesh:
     )
 
 
-def _triangulation_boundary(mesh: Mesh) -> set[tuple[int, int]]:
-    """Edges belonging to exactly one triangle, as sorted vertex pairs."""
-    count: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(a, b)), int(max(a, b)))
-            count[key] = count.get(key, 0) + 1
-    return {e for e, c in count.items() if c == 1}
+def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
+    """Encode vertex pairs as ``lo * nv + hi`` (endpoints sorted)."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * nv + hi
+
+
+def _key_pair(key, nv: int) -> tuple[int, int]:
+    return int(key) // nv, int(key) % nv
 
 
 def validate_mesh(mesh: Mesh) -> list[str]:
@@ -228,52 +237,59 @@ def validate_mesh(mesh: Mesh) -> list[str]:
     """
     report: list[str] = []
     nv = mesh.num_vertices
+    tris = mesh.triangles.reshape(-1, 3)
+    edges = mesh.boundary_edges.reshape(-1, 2)
 
-    if np.any(mesh.triangles < 0) or np.any(mesh.triangles >= nv):
-        for t, tri in enumerate(mesh.triangles):
-            bad = [int(v) for v in tri if v < 0 or v >= nv]
-            if bad:
-                report.append(f"triangle {t} references out-of-range vertex {bad[0]}")
+    out_of_range = (tris < 0) | (tris >= nv)
+    if out_of_range.any():
+        for t in np.nonzero(out_of_range.any(axis=1))[0]:
+            bad = tris[t, np.argmax(out_of_range[t])]
+            report.append(f"triangle {int(t)} references out-of-range vertex {int(bad)}")
         return report  # geometry checks below would be meaningless
 
-    if np.any(mesh.boundary_edges < 0) or np.any(mesh.boundary_edges >= nv):
-        for e, (a, b) in enumerate(mesh.boundary_edges):
-            if a < 0 or a >= nv or b < 0 or b >= nv:
-                report.append(f"boundary edge {e} references an out-of-range vertex")
+    out_of_range = (edges < 0) | (edges >= nv)
+    if out_of_range.any():
+        for e in np.nonzero(out_of_range.any(axis=1))[0]:
+            report.append(f"boundary edge {int(e)} references an out-of-range vertex")
         return report
 
-    areas = mesh.triangle_areas()
+    for v in np.nonzero(~np.isfinite(mesh.vertices).all(axis=1))[0]:
+        report.append(f"vertex {int(v)} has non-finite coordinates")
+
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite vertices
+        areas = mesh.triangle_areas()
     for t in np.nonzero(areas <= 0.0)[0]:
         report.append(f"triangle {int(t)} has non-positive signed area {areas[t]:.3e}")
 
-    declared = [
-        (int(min(a, b)), int(max(a, b))) for a, b in mesh.boundary_edges
-    ]
-    declared_set = set(declared)
-    if len(declared) != len(declared_set):
-        seen: set[tuple[int, int]] = set()
-        for e in declared:
-            if e in seen:
-                report.append(f"boundary edge {e} declared more than once")
-            seen.add(e)
-    topo = _triangulation_boundary(mesh)
-    for e in sorted(topo - declared_set):
-        report.append(f"topological boundary edge {e} carries no tag")
-    for e in sorted(declared_set - topo):
-        report.append(f"declared boundary edge {e} is not on the boundary")
+    declared = _edge_keys(edges, nv)
+    unique_declared, first = np.unique(declared, return_index=True)
+    repeated = np.ones(len(declared), dtype=bool)
+    repeated[first] = False
+    for key in declared[repeated]:
+        report.append(f"boundary edge {_key_pair(key, nv)} declared more than once")
+    # an edge of exactly one triangle lies on the topological boundary
+    tri_edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    keys, counts = np.unique(_edge_keys(tri_edges, nv), return_counts=True)
+    topo = keys[counts == 1]
+    for key in np.setdiff1d(topo, unique_declared):
+        report.append(f"topological boundary edge {_key_pair(key, nv)} carries no tag")
+    for key in np.setdiff1d(unique_declared, topo):
+        report.append(f"declared boundary edge {_key_pair(key, nv)} is not on the boundary")
 
     for tag in BoundaryTag:
-        if not any(t == tag for t in mesh.boundary_tags):
+        if tag not in mesh.boundary_tags:
             report.append(
                 f"{tag.value} empty: every boundary portion must have positive measure"
             )
 
-    g1 = set(mesh.vertices_incident_to(BoundaryTag.GAMMA1).tolist())
-    g3 = set(mesh.vertices_incident_to(BoundaryTag.GAMMA3).tolist())
-    allowed = set(mesh.interface_vertices)
-    for v in sorted((g1 & g3) - allowed):
+    shared = np.intersect1d(
+        mesh.vertices_incident_to(BoundaryTag.GAMMA1),
+        mesh.vertices_incident_to(BoundaryTag.GAMMA3),
+    )
+    allowed = np.asarray(mesh.interface_vertices, dtype=np.int64)
+    for v in np.setdiff1d(shared, allowed):
         report.append(
-            f"vertex {v} carries both G1 and G3 tags but is not a declared interface vertex"
+            f"vertex {int(v)} carries both G1 and G3 tags but is not a declared interface vertex"
         )
 
     return report

@@ -8,7 +8,9 @@ are byte-identical.
 
 Margins are satisfaction margins: a claim ``u <= v`` is recorded with margin
 ``min(v - u)`` and passes when the margin is no smaller than minus the slack.
-All norm checks use the assembled discrete norms of the mesh at hand.
+All norm checks use the assembled discrete norms of the mesh at hand, taken
+from its operator bundle: an experiment validates and assembles its mesh once
+and shares that with every solve it makes.
 """
 
 from __future__ import annotations
@@ -21,12 +23,8 @@ import numpy as np
 
 from .assembly import (
     ProblemData,
-    VertexClass,
-    assemble_boundary_mass,
-    assemble_mass,
-    assemble_stiffness,
-    build_dof_map,
     estimate_coercivity,
+    mesh_operators,
     v_norm,
 )
 from .mesh import BoundaryTag, Mesh, generate_unit_square_mesh
@@ -202,7 +200,7 @@ def _solve_multivalued(
 
 
 def _l2_domain(mesh: Mesh, nodal: np.ndarray) -> float:
-    M = assemble_mass(mesh)
+    M = mesh_operators(mesh).mass
     return float(np.sqrt(max(nodal @ (M @ nodal), 0.0)))
 
 
@@ -241,8 +239,8 @@ def verify_linear_theorem(
     if any(a <= 0 for a in alphas):
         raise PreconditionError("all exchange coefficients must be positive")
 
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
+    ops = mesh_operators(mesh)
+    A, M = ops.stiffness, ops.mass
     b = float(np.asarray(data.b))
     n = _infer_n(mesh)
 
@@ -529,9 +527,8 @@ def verify_alpha_convergence(
     if list(alphas) != sorted(alphas) or any(a <= 0 for a in alphas):
         raise PreconditionError("alphas must be positive and increasing")
 
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
-    weights, _ = assemble_boundary_mass(mesh)
+    ops = mesh_operators(mesh)
+    A, M, weights = ops.stiffness, ops.mass, ops.gamma3_weights
     n = _infer_n(mesh)
     b_vec = data.b_nodal(mesh)
 
@@ -542,7 +539,7 @@ def verify_alpha_convergence(
     claims: list[ClaimResult] = []
     errors: list[float] = []
     defects: list[float] = []
-    g3 = np.nonzero(build_dof_map(mesh, "V0").vertex_class == VertexClass.GAMMA3)[0]
+    g3 = ops.gamma3
     reports = _map_cases(
         lambda alpha: _solve_multivalued(
             mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), p, opts
@@ -662,8 +659,8 @@ def verify_continuous_dependence(
 
     base = _solve_multivalued(mesh, data, p, opts)
     u = base.solution.values
-    A = assemble_stiffness(mesh)
-    M = assemble_mass(mesh)
+    ops = mesh_operators(mesh)
+    A, M = ops.stiffness, ops.mass
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
@@ -812,7 +809,8 @@ def refinement_study(
             diff = u - exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
             e_max = float(np.max(np.abs(diff)))
             e_l2 = _l2_domain(mesh, diff)
-            err_v = v_norm(assemble_stiffness(mesh), assemble_mass(mesh), diff)
+            ops = mesh_operators(mesh)
+            err_v = v_norm(ops.stiffness, ops.mass, diff)
         else:
             e_max = e_l2 = err_v = float("nan")
         max_errors.append(e_max)

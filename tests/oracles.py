@@ -1,4 +1,10 @@
-"""Independent closed-form tables for the built-in superpotentials.
+"""Independent reference implementations for the tests.
+
+``validate_mesh_reference`` is the loop-based mesh validation the library
+replaced with a vectorized one (with the non-finite coordinate check added in
+the same loop style); the tests require identical reports.
+
+The superpotential tables are closed forms for the built-in laws.
 
 Each function returns ``(lo, hi, j0_toward_anchor)`` for a scalar ``r``: the
 subdifferential interval endpoints and the generalized directional
@@ -14,6 +20,76 @@ lower kink that is ``-r0 * (b - r)``, not the outer-slope pairing.
 from __future__ import annotations
 
 import numpy as np
+
+from hviheat.mesh import BoundaryTag
+
+
+def _triangulation_boundary(mesh) -> set[tuple[int, int]]:
+    """Edges belonging to exactly one triangle, as sorted vertex pairs."""
+    count: dict[tuple[int, int], int] = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (int(min(a, b)), int(max(a, b)))
+            count[key] = count.get(key, 0) + 1
+    return {e for e, c in count.items() if c == 1}
+
+
+def validate_mesh_reference(mesh) -> list[str]:
+    """Loop-based mesh validation: one message per violation, in order."""
+    report: list[str] = []
+    nv = mesh.num_vertices
+
+    if np.any(mesh.triangles < 0) or np.any(mesh.triangles >= nv):
+        for t, tri in enumerate(mesh.triangles):
+            bad = [int(v) for v in tri if v < 0 or v >= nv]
+            if bad:
+                report.append(f"triangle {t} references out-of-range vertex {bad[0]}")
+        return report
+
+    if np.any(mesh.boundary_edges < 0) or np.any(mesh.boundary_edges >= nv):
+        for e, (a, b) in enumerate(mesh.boundary_edges):
+            if a < 0 or a >= nv or b < 0 or b >= nv:
+                report.append(f"boundary edge {e} references an out-of-range vertex")
+        return report
+
+    for v, (x, y) in enumerate(mesh.vertices):
+        if not (np.isfinite(x) and np.isfinite(y)):
+            report.append(f"vertex {v} has non-finite coordinates")
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        areas = mesh.triangle_areas()
+    for t in np.nonzero(areas <= 0.0)[0]:
+        report.append(f"triangle {int(t)} has non-positive signed area {areas[t]:.3e}")
+
+    declared = [(int(min(a, b)), int(max(a, b))) for a, b in mesh.boundary_edges]
+    declared_set = set(declared)
+    if len(declared) != len(declared_set):
+        seen: set[tuple[int, int]] = set()
+        for e in declared:
+            if e in seen:
+                report.append(f"boundary edge {e} declared more than once")
+            seen.add(e)
+    topo = _triangulation_boundary(mesh)
+    for e in sorted(topo - declared_set):
+        report.append(f"topological boundary edge {e} carries no tag")
+    for e in sorted(declared_set - topo):
+        report.append(f"declared boundary edge {e} is not on the boundary")
+
+    for tag in BoundaryTag:
+        if not any(t == tag for t in mesh.boundary_tags):
+            report.append(
+                f"{tag.value} empty: every boundary portion must have positive measure"
+            )
+
+    g1 = set(mesh.vertices_incident_to(BoundaryTag.GAMMA1).tolist())
+    g3 = set(mesh.vertices_incident_to(BoundaryTag.GAMMA3).tolist())
+    allowed = set(mesh.interface_vertices)
+    for v in sorted((g1 & g3) - allowed):
+        report.append(
+            f"vertex {v} carries both G1 and G3 tags but is not a declared interface vertex"
+        )
+
+    return report
 
 
 def exp_quadratic_table(b: float, r: float) -> tuple[float, float, float]:

@@ -9,11 +9,14 @@ from hviheat.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
+    assemble_system,
     build_dof_map,
     estimate_coercivity,
+    mesh_operators,
+    mesh_report,
     v_norm,
 )
-from hviheat.mesh import Mesh, generate_unit_square_mesh
+from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh
 
 
 def test_two_triangle_stiffness_hand_assembled():
@@ -213,3 +216,49 @@ def test_v_norm_matches_quadratic_form():
     v = m.vertices[:, 0] * m.vertices[:, 1]
     expected = np.sqrt(v @ (A @ v) + v @ (M @ v))
     assert v_norm(A, M, v) == pytest.approx(expected, rel=1e-15)
+
+
+class TestMeshOperators:
+    def test_built_once_per_mesh_and_matching_direct_assembly(self):
+        m = generate_unit_square_mesh(3)
+        ops = mesh_operators(m)
+        assert mesh_operators(m) is ops
+        assert (ops.stiffness != assemble_stiffness(m)).nnz == 0
+        assert (ops.mass != assemble_mass(m)).nnz == 0
+        weights, consistent = assemble_boundary_mass(m)
+        assert np.array_equal(ops.gamma3_weights, weights)
+        assert (ops.gamma3_mass != consistent).nnz == 0
+        classes = build_dof_map(m, "V0").vertex_class
+        assert np.array_equal(ops.bulk, np.nonzero(classes == VertexClass.FREE)[0])
+        assert np.array_equal(ops.gamma3, np.nonzero(classes == VertexClass.GAMMA3)[0])
+        assert np.array_equal(ops.dof_k0.fixed, build_dof_map(m, "K0").fixed)
+        # an equal but distinct mesh gets its own bundle
+        assert mesh_operators(generate_unit_square_mesh(3)) is not ops
+
+    def test_members_are_read_only(self):
+        ops = mesh_operators(generate_unit_square_mesh(2))
+        with pytest.raises(ValueError):
+            ops.stiffness.data[0] = 0.0
+        with pytest.raises(ValueError):
+            ops.gamma3_weights[0] = 0.0
+        with pytest.raises(ValueError):
+            ops.bulk[0] = 0
+
+    def test_lazy_members_are_built_once(self):
+        ops = mesh_operators(generate_unit_square_mesh(2))
+        builds = []
+        first = ops.once("probe", lambda: builds.append(1) or object())
+        assert ops.once("probe", lambda: builds.append(1) or object()) is first
+        assert builds == [1]
+
+    def test_invalid_mesh_keeps_its_report_and_refuses_assembly(self):
+        m = generate_unit_square_mesh(2)
+        tags = tuple(
+            BoundaryTag.GAMMA2 if t == BoundaryTag.GAMMA3 else t for t in m.boundary_tags
+        )
+        bad = Mesh(m.vertices, m.triangles, m.boundary_edges, tags)
+        assert mesh_report(bad) == ("G3 empty: every boundary portion must have positive measure",)
+        with pytest.raises(AssemblyError, match="invalid mesh: G3 empty"):
+            assemble_system(bad, ProblemData.make(bad))
+        with pytest.raises(AssemblyError, match="invalid mesh"):
+            mesh_operators(bad)

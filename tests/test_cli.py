@@ -143,6 +143,20 @@ class TestRun:
         values = {float(r.split(",")[1]): float(r.split(",")[3]) for r in rows}
         assert abs(values[1.0] - 0.9) <= 1e-10
 
+    def test_non_finite_mesh_vertex_exits_2_naming_the_file(self, tmp_path):
+        text = save_mesh(generate_unit_square_mesh(2)).splitlines()
+        text[2 + 4] = "nan 0.25"  # vertex 4, after the header and the count line
+        mesh_path = tmp_path / "square.mesh"
+        mesh_path.write_text("\n".join(text) + "\n")
+        cfg = parse_config(
+            f"command = solve\nmesh.file = {mesh_path}\nproblem.kind = robin\n"
+            "problem.g = -1\nproblem.b = 1\nproblem.alpha = 9\n"
+        )
+        assert run(cfg, tmp_path / "out") == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == f"mesh file {mesh_path}: vertex 4 has non-finite coordinates"
+
     def test_alpha_convergence_experiment_csv_decreasing(self, tmp_path):
         cfg = parse_config(
             "command = experiment\nexperiment.id = alpha_convergence\nmesh.n = 8\n"

@@ -12,6 +12,7 @@ from hviheat.mesh import (
     save_mesh,
     validate_mesh,
 )
+from oracles import validate_mesh_reference
 
 
 def tag_counts(mesh):
@@ -118,6 +119,110 @@ def test_validate_undeclared_boundary_edge():
         Mesh(m.vertices, m.triangles, m.boundary_edges[:-1], m.boundary_tags[:-1])
     )
     assert any("carries no tag" in msg for msg in report)
+
+
+def test_validate_non_finite_vertex():
+    m = generate_unit_square_mesh(2)
+    vertices = m.vertices.copy()
+    vertices[4] = (np.nan, 0.25)
+    vertices[7, 1] = np.inf
+    report = validate_mesh(Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags))
+    assert report[:2] == [
+        "vertex 4 has non-finite coordinates",
+        "vertex 7 has non-finite coordinates",
+    ]
+
+
+def test_mesh_arrays_are_read_only_copies():
+    m = generate_unit_square_mesh(2)
+    with pytest.raises(ValueError):
+        m.vertices[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        m.triangles[0, 0] = 1
+    with pytest.raises(ValueError):
+        m.boundary_edges[0, 0] = 1
+    vertices = m.vertices.copy()
+    copy = Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
+    vertices[0, 0] = 0.5  # the caller's array stays the caller's
+    assert copy == m
+
+
+def _corrupt(draw, n: int) -> Mesh:
+    """A unit-square mesh with one to four random defects."""
+    m = generate_unit_square_mesh(n)
+    vertices = m.vertices.copy()
+    tris = m.triangles.copy()
+    edges = [tuple(e) for e in m.boundary_edges.tolist()]
+    tags = list(m.boundary_tags)
+    interface: list[int] = []
+    nv = m.num_vertices
+    kinds = st.sampled_from(
+        ["flip", "drop", "duplicate", "spurious", "empty_tag", "shared", "retag",
+         "interface", "non_finite", "tri_out_of_range", "edge_out_of_range"]
+    )
+    for kind in draw(st.lists(kinds, min_size=1, max_size=4)):
+        if kind == "flip":
+            t = draw(st.integers(0, len(tris) - 1))
+            tris[t] = tris[t][::-1]
+        elif kind == "drop" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            del edges[k], tags[k]
+        elif kind == "duplicate" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            a, b = edges[k]
+            edges.append((b, a) if draw(st.booleans()) else (a, b))
+            tags.append(draw(st.sampled_from(list(BoundaryTag))))
+        elif kind == "spurious":  # a triangle edge or any vertex pair
+            for _ in range(draw(st.integers(1, 3))):
+                t = draw(st.integers(0, len(tris) - 1))
+                i = draw(st.integers(0, 2))
+                pair = (int(tris[t][i]), int(tris[t][(i + 1) % 3]))
+                if draw(st.booleans()):
+                    pair = (draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1)))
+                edges.append(pair)
+                tags.append(draw(st.sampled_from(list(BoundaryTag))))
+        elif kind == "empty_tag":
+            gone = draw(st.sampled_from(list(BoundaryTag)))
+            into = draw(st.sampled_from([t for t in BoundaryTag if t != gone]))
+            tags = [into if t == gone else t for t in tags]
+        elif kind == "shared" and edges:
+            # the bottom edge at the origin touches the G1 side
+            k = edges.index((0, 1)) if (0, 1) in edges else 0
+            tags[k] = BoundaryTag.GAMMA3
+        elif kind == "retag" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            tags[k] = draw(st.sampled_from(list(BoundaryTag)))
+        elif kind == "interface":
+            interface.append(draw(st.integers(0, nv - 1)))
+        elif kind == "non_finite":
+            v = draw(st.integers(0, nv - 1))
+            vertices[v, draw(st.integers(0, 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        elif kind == "tri_out_of_range":
+            t = draw(st.integers(0, len(tris) - 1))
+            tris[t, draw(st.integers(0, 2))] = draw(st.sampled_from([-1, nv, nv + 5]))
+        elif kind == "edge_out_of_range" and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            edges[k] = (edges[k][0], draw(st.sampled_from([-2, nv])))
+    return Mesh(
+        vertices,
+        tris,
+        np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        tuple(tags),
+        interface_vertices=tuple(interface),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=4), st.data())
+def test_vectorized_validation_matches_reference(n, data):
+    mesh = _corrupt(data.draw, n)
+    assert validate_mesh(mesh) == validate_mesh_reference(mesh)
+
+
+def test_reference_agrees_on_clean_meshes():
+    for n in (1, 3, 8):
+        m = generate_unit_square_mesh(n)
+        assert validate_mesh(m) == validate_mesh_reference(m) == []
 
 
 def test_roundtrip_identity():

@@ -1,6 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import hviheat.assembly
+import hviheat.hvi_solver
 from hviheat.assembly import (
     ProblemData,
     VertexClass,
@@ -249,6 +255,45 @@ class TestConvexVi:
         d = ProblemData.make(m, b=1.0, alpha=1.0)
         with pytest.raises(ValueError, match="not convex"):
             solve_vi_convex(m, d, ExpQuadraticPotential(b=1.0))
+
+
+def test_threads_build_the_shared_operators_once(monkeypatch):
+    validate = hviheat.assembly.validate_mesh
+    spla = hviheat.hvi_solver.spla
+    validations, factored = [], []
+    monkeypatch.setattr(
+        hviheat.assembly, "validate_mesh", lambda mesh: validations.append(1) or validate(mesh)
+    )
+    monkeypatch.setattr(
+        hviheat.hvi_solver,
+        "spla",
+        SimpleNamespace(splu=lambda A: factored.append(A.shape) or spla.splu(A), cg=spla.cg),
+    )
+    p = AbsPotential(b=1.0)
+
+    def case(mesh, k):
+        data = ProblemData.make(mesh, g=-1.0, q=0.5, b=1.0, alpha=10.0 ** (k % 3))
+        if k % 4 == 3:
+            return solve_dirichlet(mesh, data).solution.values
+        return solve_vi_convex(mesh, data, p).solution.values
+
+    cases = range(12)
+    expected = [case(generate_unit_square_mesh(8), k) for k in cases]
+    validations.clear()
+    factored.clear()
+    m = generate_unit_square_mesh(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(case, m, k) for k in cases]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r, e) for r, e in zip(results, expected))
+    assert len(validations) == 1
+    n_bulk = len(hviheat.assembly.mesh_operators(m).bulk)
+    assert factored.count((n_bulk, n_bulk)) == 1
 
 
 def test_solution_norms_match_assembled_forms():

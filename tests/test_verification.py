@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from hviheat.assembly import ProblemData
+import hviheat.assembly
+import hviheat.hvi_solver
+from hviheat.assembly import ProblemData, mesh_operators
 from hviheat.hvi_solver import solve_dirichlet, solve_robin
 from hviheat.mesh import generate_unit_square_mesh
 from hviheat.potentials import (
@@ -90,6 +94,34 @@ class TestComparison:
             verify_comparison(
                 m, ProblemData.make(m, g=1.0, b=1.0, alpha=1.0), QuadraticPotential(b=1.0)
             )
+
+
+    def test_one_validation_and_one_bulk_factorization_per_mesh(self, monkeypatch):
+        validate = hviheat.assembly.validate_mesh
+        validations = []
+
+        def counting_validate(mesh):
+            validations.append(mesh)
+            return validate(mesh)
+
+        spla = hviheat.hvi_solver.spla
+        factored = []
+
+        def counting_splu(A, *args, **kwargs):
+            factored.append(A.shape)
+            return spla.splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(hviheat.assembly, "validate_mesh", counting_validate)
+        monkeypatch.setattr(
+            hviheat.hvi_solver, "spla", SimpleNamespace(splu=counting_splu, cg=spla.cg)
+        )
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        rep = verify_comparison(m, d, AbsPotential(b=1.0), alphas=(1.0, 10.0, 100.0))
+        assert rep.passed
+        assert len(validations) == 1
+        n_bulk = len(mesh_operators(m).bulk)
+        assert factored.count((n_bulk, n_bulk)) == 1
 
 
 class TestMonotonicity:
@@ -250,12 +282,21 @@ class TestRefinement:
 
 
 class TestReportPlumbing:
-    def test_parallel_workers_reproduce_sequential_reports(self):
+    # abs is convex: its threads share the mesh's bulk factor and Schur complement
+    @pytest.mark.parametrize(
+        "potential", [ExpQuadraticPotential, AbsPotential], ids=["exp_quadratic", "abs"]
+    )
+    def test_parallel_workers_reproduce_sequential_reports(self, potential):
+        d_args = dict(g=-1.0, q=0.5, b=1.0, alpha=1.0)
         m = generate_unit_square_mesh(16)
-        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
-        p = ExpQuadraticPotential(b=1.0)
-        seq = verify_comparison(m, d, p, alphas=(1.0, 10.0, 100.0))
-        par = verify_comparison(m, d, p, alphas=(1.0, 10.0, 100.0), workers=3)
+        seq = verify_comparison(
+            m, ProblemData.make(m, **d_args), potential(b=1.0), alphas=(1.0, 10.0, 100.0)
+        )
+        m = generate_unit_square_mesh(16)  # a fresh mesh: its lazy members are built anew
+        par = verify_comparison(
+            m, ProblemData.make(m, **d_args), potential(b=1.0), alphas=(1.0, 10.0, 100.0),
+            workers=3,
+        )
         assert seq.to_csv() == par.to_csv()
         assert seq.claims == par.claims
 
