@@ -47,7 +47,6 @@ from .hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
-    solve_vi_convex,
 )
 from .verification import (
     ExperimentReport,

@@ -27,7 +27,6 @@ from .hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
-    solve_vi_convex,
 )
 from .mesh import Mesh, MeshFormatError, generate_unit_square_mesh, load_mesh
 from .mesh import validate_mesh  # noqa: F401  (re-exported for code that reads it from here)
@@ -81,9 +80,7 @@ _KNOWN_KEYS = {
     "solver.tol_interior",
     "solver.tol_inclusion",
     "solver.max_iters",
-    "solver.damping_init",
     "solver.seed",
-    "solver.linear",
     "experiment.id",
     "experiment.alpha_pairs",
     "experiment.override",
@@ -271,12 +268,8 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: {key} must be a number")
 
     solver_kwargs: dict[str, object] = {}
-    for name, caster in (
-        ("tol_interior", take_float),
-        ("tol_inclusion", take_float),
-        ("damping_init", take_float),
-    ):
-        value = caster(f"solver.{name}")
+    for name in ("tol_interior", "tol_inclusion"):
+        value = take_float(f"solver.{name}")
         if value is not None:
             solver_kwargs[name] = value
     max_iters = take_int("solver.max_iters", minimum=0)
@@ -285,9 +278,6 @@ def parse_config(text: str) -> RunConfig:
     seed = take_int("solver.seed")
     if seed is not None:
         solver_kwargs["seed"] = seed
-    linear = take_choice("solver.linear", ("auto", "direct", "cg"))
-    if linear is not None:
-        solver_kwargs["linear_solver"] = linear[0]
     cfg.solver = SolverOptions(**solver_kwargs)  # type: ignore[arg-type]
 
     exp_item = take_choice("experiment.id", EXPERIMENTS)
@@ -426,10 +416,8 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
         report = solve_robin(mesh, data, cfg.solver)
     elif kind == "robin_lumped":
         report = solve_robin(mesh, data, cfg.solver, boundary_mass="lumped")
-    elif kind == "hvi":
+    elif kind in ("hvi", "vi"):
         report = solve_hvi(mesh, data, _build_potential(cfg), cfg.solver)
-    elif kind == "vi":
-        report = solve_vi_convex(mesh, data, _build_potential(cfg), cfg.solver)
     else:  # pragma: no cover - guarded by parse_config
         raise ConfigError([f"unknown problem kind {kind!r}"])
 

@@ -5,11 +5,8 @@ Variants
 * ``solve_dirichlet`` -- the limit problem with the datum ``b`` imposed on G3.
 * ``solve_robin`` -- the linear exchange law ``-du/dn = alpha (u - b)``.
 * ``solve_hvi`` -- the multivalued law ``-du/dn in alpha dj(u)`` with a
-  locally Lipschitz superpotential ``j`` (whose weak form is a boundary
-  hemivariational inequality, hence the name).
-* ``solve_vi_convex`` -- the same problem for convex ``j`` via the equivalent
-  minimization, solved by coordinate-wise proximal descent on the boundary
-  Schur complement.
+  locally Lipschitz superpotential ``j``, convex or not (whose weak form is a
+  boundary hemivariational inequality, hence the name).
 
 The discrete multivalued problem lumps the G3 mass, so it decouples into one
 scalar inclusion per G3 node:
@@ -55,7 +52,6 @@ __all__ = [
     "solve_dirichlet",
     "solve_robin",
     "solve_hvi",
-    "solve_vi_convex",
     "check_certificate",
 ]
 
@@ -67,11 +63,7 @@ class SolverOptions:
     tol_interior: float = 1e-9
     tol_inclusion: float = 1e-8
     max_iters: int = 10_000
-    damping_init: float = 1.0
     seed: int = 0
-    linear_solver: str = "auto"  # auto | direct | cg
-    direct_dof_limit: int = 20_000
-    cg_tol: float = 1e-11
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -130,7 +122,6 @@ class SolveReport:
     linear_residual: float
     certificate: Certificate
     converged: bool
-    damping_history: tuple[float, ...] = ()
 
 
 class _SharedFactor:
@@ -174,41 +165,19 @@ def _trace_reduction(ops: MeshOperators) -> tuple[np.ndarray, sp.csr_matrix, np.
     return ops.once("trace_reduction", build)
 
 
-def _linear_solve(
-    A: sp.spmatrix,
-    rhs: np.ndarray,
-    opts: SolverOptions,
-    factor=None,
-) -> tuple[np.ndarray, float]:
-    """SPD solve: sparse factorization at desk scale, CG above the cutoff.
+def _linear_solve(A: sp.spmatrix, rhs: np.ndarray, factor=None) -> tuple[np.ndarray, float]:
+    """SPD solve by sparse factorization, refined once when the residual asks.
 
-    ``factor``, when given, returns a factorization of ``A`` on demand; the
-    direct path then reuses it instead of factoring ``A`` again.
+    ``factor``, when given, returns a factorization of ``A`` on demand; it is
+    reused instead of factoring ``A`` again.
     """
-    n = A.shape[0]
-    method = opts.linear_solver
-    if method == "auto":
-        method = "direct" if n <= opts.direct_dof_limit else "cg"
+    lu = factor() if factor is not None else spla.splu(sp.csc_matrix(A))
     rhs_norm = float(np.linalg.norm(rhs))
-    history: list[float] = []
-
-    if method == "direct":
-        lu = factor() if factor is not None else spla.splu(sp.csc_matrix(A))
-        x = lu.solve(rhs)
-        res = float(np.linalg.norm(rhs - A @ x))
-        history.append(res)
-        if rhs_norm > 0.0 and res > 1e-13 * rhs_norm:
-            x = x + lu.solve(rhs - A @ x)
-            history.append(float(np.linalg.norm(rhs - A @ x)))
-    elif method == "cg":
-        diag = A.diagonal()
-        precond = sp.diags(1.0 / diag)
-        x, info = spla.cg(A, rhs, rtol=opts.cg_tol, atol=0.0, M=precond, maxiter=50 * n)
+    x = lu.solve(rhs)
+    history = [float(np.linalg.norm(rhs - A @ x))]
+    if rhs_norm > 0.0 and history[-1] > 1e-13 * rhs_norm:
+        x = x + lu.solve(rhs - A @ x)
         history.append(float(np.linalg.norm(rhs - A @ x)))
-        if info != 0:
-            raise LinearSolveError(f"conjugate gradient stopped with code {info}", tuple(history))
-    else:
-        raise ValueError(f"unknown linear solver {method!r}")
 
     relres = history[-1] / rhs_norm if rhs_norm > 0.0 else history[-1]
     if relres > 1e-10:
@@ -278,7 +247,7 @@ def solve_dirichlet(
     fixed = ops.dof_k0.fixed_indices
     A = system.stiffness
     rhs = system.load[free] - A[free][:, fixed] @ u[fixed]
-    x, relres = _linear_solve(ops.bulk_block, rhs, opts, factor=lambda: _bulk_factor(ops))
+    x, relres = _linear_solve(ops.bulk_block, rhs, factor=lambda: _bulk_factor(ops))
     u[free] = x
 
     residual = float(np.max(np.abs((A @ u - system.load)[free]))) if len(free) else 0.0
@@ -320,7 +289,7 @@ def solve_robin(
     dof = system.dof_map
     free = dof.free_indices
     u = np.zeros(mesh.num_vertices)
-    x, relres = _linear_solve(sp.csr_matrix(K)[free][:, free], rhs_full[free], opts)
+    x, relres = _linear_solve(sp.csr_matrix(K)[free][:, free], rhs_full[free])
     u[free] = x
 
     residual = float(np.max(np.abs((K @ u - rhs_full)[free])))
@@ -337,11 +306,6 @@ def solve_robin(
     )
 
 
-def _initial_iterate(mesh: Mesh, data: ProblemData, opts: SolverOptions) -> np.ndarray:
-    """Deterministic warm start: the lumped-mass linear exchange solution."""
-    return solve_robin(mesh, data, opts, boundary_mass="lumped").solution.values.copy()
-
-
 def solve_hvi(
     mesh: Mesh,
     data: ProblemData,
@@ -349,16 +313,20 @@ def solve_hvi(
     opts: SolverOptions = DEFAULT_OPTIONS,
     initial: np.ndarray | str | None = None,
 ) -> SolveReport:
-    """Multivalued exchange law via a damped semismooth fixed point.
+    """Multivalued exchange law by descent on the energy of the G3 trace.
 
-    Each iteration picks a subgradient selection per G3 node (the interval
-    point closest to the previous multiplier, started at the midpoint),
-    linearizes the boundary term like a Robin condition wherever the
-    subdifferential is a singleton with positive branch slope, treats it as
-    an explicit source otherwise, solves the resulting SPD system, and blends
-    the candidate with damping adapted to certificate decrease: the factor
-    halves when the certificate worsens and doubles (capped at one) when it
-    improves.  Existence holds for every ``alpha``, but without the
+    The bulk unknowns are eliminated through the mesh's shared ``A_bb``
+    factor, leaving the energy ``1/2 u'Su - f'u + alpha sum m_k j(u_k)`` of
+    the trace ``u`` with the dense Schur complement ``S``.  Each sweep of
+    cyclic coordinate descent sets every node to ``p.prox``, the global
+    minimizer of its 1D energy, so nonconvex ``j`` is handled like convex
+    ``j``.  Once a sweep leaves every node on its branch or kink, Newton
+    steps on the nodes off the kinks finish the solve, with the kink-held
+    nodes pinned (a primal-dual active-set step).  A node that a step would
+    carry off its branch stops on the kink bounding it, and the step is
+    halved until the energy does not rise beyond rounding.  Sweeps and
+    Newton steps count against ``max_iters``; a sweep that moves no node
+    ends the solve.  Existence holds for every ``alpha``, but without the
     smallness condition the solution need not be unique; the solver returns
     one certified solution and reports failure honestly otherwise.
 
@@ -368,149 +336,96 @@ def solve_hvi(
     """
     _check_anchor(data, p, mesh)
     system = assemble_system(mesh, data)
-    A = system.stiffness
+    ops = mesh_operators(mesh)
     f = system.load
-    alpha = data.alpha
-    dof = system.dof_map
-    free = dof.free_indices
-    g3 = system.gamma3_nodes
-    m = system.gamma3_weights[g3]
+    g3, bulk = ops.gamma3, ops.bulk
+    am = data.alpha * system.gamma3_weights[g3]
+    lu = _bulk_factor(ops)
+    A_bg, A_gb, S = _trace_reduction(ops)
+    f_red = f[g3] - A_gb @ lu.solve(f[bulk])
 
+    nv = mesh.num_vertices
     if initial is None:
-        start = _initial_iterate(mesh, data, opts)
+        u = np.linalg.solve(S + np.diag(am), f_red + am * data.b_nodal(mesh)[g3])
     elif isinstance(initial, str):
         if initial != "random":
             raise ValueError(f"unknown initial iterate {initial!r}")
-        rng = np.random.default_rng(opts.seed)
-        start = rng.uniform(-1.0, 1.0, mesh.num_vertices)
+        u = np.random.default_rng(opts.seed).uniform(-1.0, 1.0, nv)[g3]
     else:
         start = np.asarray(initial, dtype=float)
-    u = np.zeros(mesh.num_vertices)
-    u[free] = start[free]
+        if start.shape != (nv,):
+            raise ValueError(
+                f"initial field has shape {start.shape}, but the mesh has {nv} vertices"
+            )
+        u = start[g3]
 
-    lo, hi = p.subdiff_bounds(u[g3])
-    lam = 0.5 * (lo + hi)
-    theta = min(max(opts.damping_init, 1e-6), 1.0)
-    cert = _certificate(system, p, u)
-    history: list[float] = []
-    relres = 0.0
+    diag = np.diag(S)
+    tau = am / diag
+    kinks = np.sort(np.asarray(p.breakpoints(), dtype=float))
+    ends = np.concatenate(([-np.inf], kinks, [np.inf]))  # piece i spans ends[i]..ends[i+1]
+
+    def branch(v):  # 2i inside the i-th smooth piece, 2i+1 on the i-th kink
+        return 2 * np.searchsorted(kinks, v) + np.isin(v, kinks)
+
+    def energy(v):  # and the size of its terms, which bounds its rounding error
+        terms = np.array([0.5 * v @ (S @ v), -(f_red @ v), am @ p.value_array(v)])
+        return terms.sum(), np.abs(terms).sum()
+
+    def inclusion(v):
+        lam = (f_red - S @ v) / am
+        lo, hi = p.subdiff_bounds(v)
+        return float(np.max(np.maximum(np.maximum(lo - lam, lam - hi), 0.0), initial=0.0))
+
     iterations = 0
-    stalls = 0
-
-    while iterations < opts.max_iters and not cert.within(opts):
+    keys = branch(u)
+    while inclusion(u) > 0.5 * opts.tol_inclusion and iterations < opts.max_iters:
         iterations += 1
-        lo, hi = p.subdiff_bounds(u[g3])
-        eta = np.clip(lam, lo, hi)
-        slopes = np.array([p.slope(float(u[i])) for i in g3])
-        dcoef = np.where(lo == hi, np.maximum(slopes, 0.0), 0.0)
-
-        robin_diag = np.zeros(mesh.num_vertices)
-        robin_diag[g3] = alpha * m * dcoef
-        K = A + sp.diags(robin_diag)
-        rhs = f.copy()
-        rhs[g3] -= alpha * m * (eta - dcoef * u[g3])
-        w = np.zeros(mesh.num_vertices)
-        w[free], relres = _linear_solve(sp.csr_matrix(K)[free][:, free], rhs[free], opts)
-
-        accepted = False
-        merit = cert.merit(opts)
-        for _ in range(40):
-            trial = (1.0 - theta) * u + theta * w
-            cert_trial = _certificate(system, p, trial)
-            if cert_trial.merit(opts) <= merit:
-                accepted = cert_trial.merit(opts) < merit
-                u, cert = trial, cert_trial
+        before = u.copy()
+        for k in range(len(u)):
+            u[k] = p.prox(u[k] + (f_red[k] - S[k] @ u) / diag[k], tau[k])
+        if np.array_equal(u, before):
+            break  # no node moved, so no later sweep can
+        previous, keys = keys, branch(u)
+        free = keys % 2 == 0
+        if not np.array_equal(previous, keys) or not free.any():
+            continue
+        while iterations < opts.max_iters:
+            grad = (S @ u - f_red)[free] + am[free] * p.subdiff_bounds(u[free])[0]
+            if np.max(np.abs(grad) / am[free]) <= 0.5 * opts.tol_inclusion:
+                break  # the free nodes are solved; only a sweep moves the pinned ones
+            iterations += 1
+            S_FF = S[np.ix_(free, free)]
+            curvature = np.array([p.slope(float(t)) for t in u[free]])
+            jacobian = S_FF + np.diag(am[free] * curvature)
+            try:
+                np.linalg.cholesky(jacobian)
+            except np.linalg.LinAlgError:
+                # indefinite on concave pieces (j'' < 0): zero curvature there
+                # makes the model a majorant of the energy, so the step descends
+                jacobian = S_FF + np.diag(am[free] * np.maximum(curvature, 0.0))
+            step = np.zeros_like(u)
+            step[free] = np.linalg.solve(jacobian, grad)
+            level, size = energy(u)
+            for _ in range(20):  # halve the step until the energy does not rise
+                # a node that would leave its piece stops on the kink bounding it
+                trial = np.clip(u - step, ends[keys // 2], ends[keys // 2 + 1])
+                if energy(trial)[0] <= level + 1e-13 * size:
+                    break
+                step /= 2.0
+            else:
                 break
-            theta *= 0.5
-        else:
-            # no damping level improved the certificate: take the least-bad
-            # step anyway so the selection can change, and count the stall
-            trial = (1.0 - theta) * u + theta * w
-            u = trial
-            cert = _certificate(system, p, trial)
-        history.append(theta)
-        if accepted:
-            theta = min(1.0, 2.0 * theta)
-            stalls = 0
-        else:
-            stalls += 1
-            if stalls >= 8:
+            u, previous, keys = trial, keys, branch(trial)
+            if not np.array_equal(previous, keys):
                 break
-        lam = (f - A @ u)[g3] / (alpha * m)
 
-    sol = _make_solution(
-        u, system, {"problem": "hvi", "alpha": alpha, "potential": p.id}
-    )
+    full = np.zeros(nv)
+    full[g3] = u
+    full[bulk], relres = _linear_solve(ops.bulk_block, f[bulk] - A_bg @ u, factor=lambda: lu)
+    cert = _certificate(system, p, full)
+    sol = _make_solution(full, system, {"problem": "hvi", "alpha": data.alpha, "potential": p.id})
     return SolveReport(
         solution=sol,
         iterations=iterations,
-        linear_residual=relres,
-        certificate=cert,
-        converged=cert.within(opts),
-        damping_history=tuple(history),
-    )
-
-
-def solve_vi_convex(
-    mesh: Mesh,
-    data: ProblemData,
-    p: Potential,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-) -> SolveReport:
-    """Convex exchange law via the equivalent boundary minimization.
-
-    The unconstrained non-G3 unknowns are eliminated exactly through a
-    factorized Schur complement, leaving a small strongly convex problem on
-    the G3 trace that cyclic coordinate-wise proximal descent solves; each
-    coordinate update applies the scalar resolvent of ``tau * dj`` in closed
-    form (or by bisection for the power-law extras).  The result is checked
-    against the same certificate as the general solver.  The factorization
-    and the Schur complement depend on the mesh alone, so every solve on one
-    mesh shares them.
-    """
-    if not p.convex:
-        raise ValueError(f"potential {p.id!r} is not convex; use solve_hvi instead")
-    _check_anchor(data, p, mesh)
-    system = assemble_system(mesh, data)
-    ops = mesh_operators(mesh)
-    f = system.load
-    alpha = data.alpha
-    g3 = ops.gamma3
-    m = system.gamma3_weights[g3]
-    bulk = ops.bulk
-
-    lu = _bulk_factor(ops)
-    A_bg, A_gb, schur = _trace_reduction(ops)
-    f_red = f[g3] - A_gb @ lu.solve(f[bulk])
-
-    u_g = _initial_iterate(mesh, data, opts)[g3]
-    diag = np.diag(schur)
-    sweeps = 0
-    while sweeps < opts.max_iters:
-        sweeps += 1
-        for k in range(len(g3)):
-            rest = float(schur[k] @ u_g) - diag[k] * u_g[k]
-            z = (f_red[k] - rest) / diag[k]
-            u_g[k] = p.prox(z, alpha * m[k] / diag[k])
-        lam = (f_red - schur @ u_g) / (alpha * m)
-        lo, hi = p.subdiff_bounds(u_g)
-        incl = float(np.max(np.maximum(np.maximum(lo - lam, lam - hi), 0.0)))
-        if incl <= 0.5 * opts.tol_inclusion:
-            break
-
-    u = np.zeros(mesh.num_vertices)
-    u[g3] = u_g
-    u[bulk] = lu.solve(f[bulk] - A_bg @ u_g)
-    bulk_res = f[bulk] - ops.bulk_block @ u[bulk] - A_bg @ u_g
-    relres = float(np.linalg.norm(bulk_res) / max(np.linalg.norm(f[bulk]), 1e-300))
-
-    cert = _certificate(system, p, u)
-    sol = _make_solution(
-        u, system, {"problem": "vi_convex", "alpha": alpha, "potential": p.id}
-    )
-    return SolveReport(
-        solution=sol,
-        iterations=sweeps,
         linear_residual=relres,
         certificate=cert,
         converged=cert.within(opts),

@@ -37,6 +37,7 @@ offset) is used to cover the piecewise structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +97,31 @@ class Interval:
         return max(self.lo - x, x - self.hi, 0.0)
 
 
+def _root_from_above(h, dh, x: float) -> float:
+    """Largest root of a convex ``h`` by Newton from a point ``x`` right of it.
+
+    Convexity makes the iterates decrease monotonically onto the root, so the
+    loop ends when a step no longer moves left.
+    """
+    for _ in range(100):
+        hx = h(x)
+        if hx <= 0.0:
+            break
+        step = x - hx / dh(x)
+        if step >= x:
+            break
+        x = step
+    return x
+
+
 class Potential:
     """Base class: closed-form value, interval subdifferential, and j0.
 
     Subclasses implement ``value_array`` and ``subdiff_bounds`` (vectorized)
-    plus ``slope`` and ``breakpoints``.  ``slope`` is the derivative of the
-    single-valued branch at differentiability points and 0 at kinks; solvers
-    use it for the Robin-like linearization and it never affects the computed
-    subdifferential itself.
+    plus ``slope``, ``breakpoints`` and ``prox``.  ``slope`` is the branch
+    curvature: the second derivative of the smooth piece of ``j`` containing
+    ``r``, and 0 at breakpoints; the solver's Newton step uses it and it never
+    affects the computed subdifferential itself.
     """
 
     id: str = "custom"
@@ -154,43 +172,13 @@ class Potential:
         return out
 
     def prox(self, z: float, tau: float) -> float:
-        """Resolvent of ``tau * dj`` at z, i.e. the u with z in u + tau*dj(u).
+        """Global minimizer of ``1/2 (t-z)^2 + tau j(t)`` over the real line.
 
-        Only meaningful for convex potentials, where the map is maximal
-        monotone and the solution unique; solved by bisection unless a
-        subclass provides a closed form.
+        A kink is a candidate only where both one-sided derivatives of this
+        energy show a local minimum, so a minimizer always satisfies the
+        inclusion ``z - t in tau dj(t)``, convex ``j`` or not.
         """
-        if not self.convex:
-            raise ValueError(f"prox of nonconvex potential {self.id!r} is not single-valued")
-        if tau <= 0.0:
-            raise ValueError("prox step must be positive")
-
-        def below(u: float) -> bool:  # u lies strictly left of the solution
-            return u + tau * self.subdiff(u).hi < z
-
-        def above(u: float) -> bool:
-            return u + tau * self.subdiff(u).lo > z
-
-        lo_u = hi_u = float(z)
-        step = max(1.0, tau, abs(z))
-        while above(lo_u):
-            lo_u -= step
-            step *= 2.0
-        step = max(1.0, tau, abs(z))
-        while below(hi_u):
-            hi_u += step
-            step *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo_u + hi_u)
-            if above(mid):
-                hi_u = mid
-            elif below(mid):
-                lo_u = mid
-            else:
-                return mid
-            if hi_u - lo_u <= 1e-16 * max(1.0, abs(lo_u), abs(hi_u)):
-                break
-        return 0.5 * (lo_u + hi_u)
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         extras = "".join(f", {k}={v:g}" for k, v in self.params().items())
@@ -246,6 +234,22 @@ class ExpQuadraticPotential(Potential):
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b,)
+
+    def prox(self, z: float, tau: float) -> float:
+        b, w = self.b, z - self.b
+        if w < 0.0:  # left of the anchor only the quadratic branch is stationary
+            return min((z + 2.0 * tau * b) / (1.0 + 2.0 * tau), b)
+        # the one-sided slopes 0 and 1 hold the kink when 0 <= w <= tau
+        candidates = [b] if w <= tau else []
+        # d - w + tau exp(-d) is convex in d; its larger root is the exp
+        # branch's local minimizer, and it exists when tau exp(-w) <= 1/e
+        if tau * math.exp(-w) <= math.exp(-1.0):
+            d = _root_from_above(
+                lambda d: d - w + tau * math.exp(-d), lambda d: 1.0 - tau * math.exp(-d), w
+            )
+            if d > 0.0:
+                candidates.append(b + d)
+        return min(candidates, key=lambda t: 0.5 * (t - z) ** 2 + tau * self.value(t))
 
 
 class MinQuadraticsPotential(Potential):
@@ -305,6 +309,15 @@ class MinQuadraticsPotential(Potential):
         if self._rho is None:
             return ()
         return (self.b - self._rho, self.b + self._rho)
+
+    def prox(self, z: float, tau: float) -> float:
+        # min over t of 1/2 (t-z)^2 + tau min(j1, j2) is the smaller of the
+        # two parabolas' own minima; the crossings are concave kinks and
+        # never minimize
+        k = np.array([self.k1, self.k2])
+        t = (z + tau * k * self.b) / (1.0 + tau * k)
+        j = 0.5 * k * (t - self.b) ** 2 + np.array([self.off1, self.off2])
+        return float(t[np.argmin(0.5 * (t - z) ** 2 + tau * j)])
 
 
 class QuadraticPotential(Potential):
@@ -506,6 +519,15 @@ class QuinticRampPotential(Potential):
     def breakpoints(self) -> tuple[float, ...]:
         return (self.c,)
 
+    def prox(self, z: float, tau: float) -> float:
+        w = z - self.c
+        if w <= 0.0:
+            return z
+        a = 5.0 * tau * self.beta
+        d = _root_from_above(lambda d: d + a * d**4 - w, lambda d: 1.0 + 4.0 * a * d**3,
+                             min(w, (w / a) ** 0.25))
+        return self.c + d
+
 
 class PowerRampPotential(Potential):
     """One-sided power law ``beta r^{9/4}`` for ``r >= 0``, zero below."""
@@ -537,6 +559,13 @@ class PowerRampPotential(Potential):
 
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0,)
+
+    def prox(self, z: float, tau: float) -> float:
+        if z <= 0.0:
+            return z
+        a = 2.25 * tau * self.beta
+        return _root_from_above(lambda d: d + a * d**1.25 - z, lambda d: 1.0 + 1.25 * a * d**0.25,
+                                min(z, (z / a) ** 0.8))
 
 
 _BUILTINS = (

@@ -35,7 +35,6 @@ from .hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
-    solve_vi_convex,
 )
 from .potentials import (
     Potential,
@@ -184,21 +183,6 @@ def _require_h0(data: ProblemData) -> None:
         raise PreconditionError("data sign conditions violated: " + "; ".join(bad))
 
 
-def _solve_multivalued(
-    mesh: Mesh, data: ProblemData, p: Potential, opts: SolverOptions
-) -> SolveReport:
-    """Certified solve of the multivalued problem, by the formulation that fits.
-
-    Convex potentials go through the variational-inequality minimization,
-    whose proximal updates pin kink-held boundary nodes exactly; nonconvex
-    ones use the general damped fixed point.  Both return the same
-    certificate contract.
-    """
-    if p.convex:
-        return solve_vi_convex(mesh, data, p, opts)
-    return solve_hvi(mesh, data, p, opts)
-
-
 def _l2_domain(mesh: Mesh, nodal: np.ndarray) -> float:
     M = mesh_operators(mesh).mass
     return float(np.sqrt(max(nodal @ (M @ nodal), 0.0)))
@@ -332,7 +316,7 @@ def verify_comparison(
     u_inf = solve_dirichlet(mesh, data, opts).solution.values
 
     reports = _map_cases(
-        lambda alpha: _solve_multivalued(
+        lambda alpha: solve_hvi(
             mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=float(alpha)), p, opts
         ),
         tuple(alphas),
@@ -426,7 +410,7 @@ def verify_monotonicity(
 
     unique_alphas = sorted({a for pair in pairs for a in pair})
     reports = _map_cases(
-        lambda alpha: _solve_multivalued(
+        lambda alpha: solve_hvi(
             mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), p, opts
         ),
         unique_alphas,
@@ -541,7 +525,7 @@ def verify_alpha_convergence(
     defects: list[float] = []
     g3 = ops.gamma3
     reports = _map_cases(
-        lambda alpha: _solve_multivalued(
+        lambda alpha: solve_hvi(
             mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), p, opts
         ),
         alphas,
@@ -651,13 +635,15 @@ def verify_continuous_dependence(
     scope.  With ``ratio_target`` the per-step error contraction must match
     the target within ``ratio_tol`` relative.
     """
+    if any(pdata.alpha != data.alpha for pdata in perturbed):
+        raise PreconditionError("perturbed data must keep the same exchange coefficient")
     m_j = p.m_j if p.m_j is not None else estimate_relaxed_monotonicity(p)
     est = estimate_coercivity(mesh)
     margin = est.smallness_margin(data.alpha, m_j)
     scope = margin <= 0.0
     n = _infer_n(mesh)
 
-    base = _solve_multivalued(mesh, data, p, opts)
+    base = solve_hvi(mesh, data, p, opts)
     u = base.solution.values
     ops = mesh_operators(mesh)
     A, M = ops.stiffness, ops.mass
@@ -670,11 +656,8 @@ def verify_continuous_dependence(
         )
     errors: list[float] = []
     deltas: list[float] = []
-    for pdata in perturbed:
-        if pdata.alpha != data.alpha:
-            raise PreconditionError("perturbed data must keep the same exchange coefficient")
     reports = _map_cases(
-        lambda pdata: _solve_multivalued(mesh, pdata, p, opts), tuple(perturbed), workers
+        lambda pdata: solve_hvi(mesh, pdata, p, opts), tuple(perturbed), workers
     )
     for k, (pdata, rep) in enumerate(zip(perturbed, reports)):
         if not rep.converged:
@@ -796,7 +779,7 @@ def refinement_study(
             return mesh, solve_dirichlet(mesh, data, opts)
         if problem == "robin":
             return mesh, solve_robin(mesh, data, opts)
-        return mesh, _solve_multivalued(mesh, data, p, opts)
+        return mesh, solve_hvi(mesh, data, p, opts)
 
     cases = _map_cases(solve_case, n_list, workers)
     rows: list[CaseRow] = []

@@ -4,7 +4,8 @@
 replaced with a vectorized one (with the non-finite coordinate check added in
 the same loop style); the tests require identical reports.
 
-The superpotential tables are closed forms for the built-in laws.
+The superpotential tables are closed forms for the built-in laws, and
+``prox_reference`` minimizes the scalar proximal energy by brute force.
 
 Each function returns ``(lo, hi, j0_toward_anchor)`` for a scalar ``r``: the
 subdifferential interval endpoints and the generalized directional
@@ -144,3 +145,20 @@ def min_quadratics_table(
     else:
         lo, hi = min(s1, s2), max(s1, s2)
     return lo, hi, max(lo * (b - r), hi * (b - r))
+
+
+def prox_reference(p, z: float, tau: float, num: int = 100_001) -> tuple[float, float]:
+    """Grid minimizer of ``1/2 (t-z)^2 + tau j(t)`` and its energy.
+
+    Since ``j`` is bounded below by ``j_min``, a minimizer lies within
+    ``sqrt(2 tau (j(z) - j_min))`` of ``z``; the grid spans that window and
+    holds every breakpoint inside it.
+    """
+    window = np.linspace(-50.0, 50.0, 10_001) + p.b
+    j_min = float(np.min(p.value_array(np.concatenate([window, p.breakpoints()]))))
+    radius = np.sqrt(2.0 * tau * max(p.value(z) - j_min, 0.0)) + 1e-9
+    t = np.linspace(z - radius, z + radius, num)
+    t = np.concatenate([t, [bp for bp in p.breakpoints() if abs(bp - z) <= radius]])
+    energy = 0.5 * (t - z) ** 2 + tau * p.value_array(t)
+    k = int(np.argmin(energy))
+    return float(t[k]), float(energy[k])

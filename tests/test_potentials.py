@@ -29,6 +29,7 @@ from oracles import (
     abs_table,
     exp_quadratic_table,
     min_quadratics_table,
+    prox_reference,
     quadratic_table,
     truncated_quadratic_table,
 )
@@ -358,9 +359,34 @@ def test_prox_truncated_quadratic_piecewise():
     assert p.prox(0.3, tau) == pytest.approx(0.3 / 1.5, rel=1e-14)
 
 
-def test_prox_rejects_nonconvex():
-    with pytest.raises(ValueError):
-        ExpQuadraticPotential(b=0.0).prox(1.0, 1.0)
+@pytest.mark.parametrize("pid", ALL_IDS)
+def test_prox_is_the_global_minimizer(pid):
+    p = make_potential(pid, b=0.6)
+    for tau in (0.05, 0.7, 3.0):
+        # z straddles every breakpoint, including the switches between a
+        # kink and a branch that scale with tau
+        zs = [
+            bp + s * tau + off
+            for bp in p.breakpoints() or (p.b,)
+            for s in (-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0)
+            for off in (-1e-12, 0.0, 1e-12, 0.3)
+        ]
+        if pid == "exp_quadratic":  # the exp branch's minimizer appears at w = 1 + ln(tau)
+            zs += [p.b + 1.0 + np.log(tau) + off for off in (-1e-3, 0.0, 1e-3, 0.5)]
+        for z in zs:
+            t = p.prox(z, tau)
+            energy = 0.5 * (t - z) ** 2 + tau * p.value(t)
+            t_ref, energy_ref = prox_reference(p, z, tau)
+            assert energy <= energy_ref + 1e-12 * (1.0 + abs(energy_ref)), (z, tau, t, t_ref)
+            # tight enough that a kink taken on an energy tie, one rounding
+            # step past where its one-sided derivatives hold it, fails
+            residual = (z - t) / tau
+            assert p.subdiff(t).distance(residual) <= 1e-12 * (1.0 + abs(residual)), (z, tau, t)
+
+
+def test_prox_not_implemented_on_the_base_class():
+    with pytest.raises(NotImplementedError):
+        FlatPotential().prox(1.0, 1.0)
 
 
 # -- registry ------------------------------------------------------------------

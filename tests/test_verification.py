@@ -5,6 +5,7 @@ import pytest
 
 import hviheat.assembly
 import hviheat.hvi_solver
+import hviheat.verification
 from hviheat.assembly import ProblemData, mesh_operators
 from hviheat.hvi_solver import solve_dirichlet, solve_robin
 from hviheat.mesh import generate_unit_square_mesh
@@ -113,7 +114,7 @@ class TestComparison:
 
         monkeypatch.setattr(hviheat.assembly, "validate_mesh", counting_validate)
         monkeypatch.setattr(
-            hviheat.hvi_solver, "spla", SimpleNamespace(splu=counting_splu, cg=spla.cg)
+            hviheat.hvi_solver, "spla", SimpleNamespace(splu=counting_splu)
         )
         m = mesh8()
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
@@ -234,6 +235,20 @@ class TestContinuousDependence:
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=2.0)
         rep = verify_continuous_dependence(m, d, QuadraticPotential(b=1.0), [d])
         assert rep.rows[0].err_v == 0.0
+
+    def test_mismatched_alpha_fails_before_any_solve(self, monkeypatch):
+        calls = []
+        for name in ("solve_hvi", "estimate_coercivity"):
+            monkeypatch.setattr(
+                hviheat.verification, name, lambda *args, name=name, **kwargs: calls.append(name)
+            )
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=2.0)
+        perturbed = self.perturbation_sequence(m, d, 3)
+        perturbed[2] = ProblemData(g=perturbed[2].g, q=d.q, b=d.b, alpha=3.0)
+        with pytest.raises(PreconditionError, match="same exchange coefficient"):
+            verify_continuous_dependence(m, d, QuadraticPotential(b=1.0), perturbed)
+        assert calls == []
 
     def test_smallness_violation_downgrades_to_existence(self):
         m = mesh8()
