@@ -11,7 +11,6 @@ from .mesh import (
     validate_mesh,
 )
 from .assembly import (
-    AssembledSystem,
     CoercivityEstimates,
     DofMap,
     MeshOperators,
@@ -20,7 +19,6 @@ from .assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
     build_dof_map,
     estimate_coercivity,
     mesh_operators,

@@ -30,7 +30,6 @@ from .mesh import BoundaryTag, Mesh, validate_mesh
 
 __all__ = [
     "ProblemData",
-    "AssembledSystem",
     "CoercivityEstimates",
     "DofMap",
     "MeshOperators",
@@ -44,9 +43,7 @@ __all__ = [
     "build_dof_map",
     "mesh_operators",
     "mesh_report",
-    "assemble_system",
     "estimate_coercivity",
-    "export_coo",
     "v_norm",
     "v0_seminorm",
 ]
@@ -325,13 +322,15 @@ class MeshOperators:
 
     ``report`` is the mesh's ``validate_mesh`` report.  A valid mesh's
     bundle also holds the stiffness and mass matrices, the G3 lumped
-    weights and consistent mass, the ``V0`` and ``K0`` dof maps, the index
-    sets ``bulk`` (vertices on neither G1 nor G3) and ``gamma3``, and the
+    weights and consistent mass, the ``V0`` dof map, the index sets
+    ``bulk`` (vertices on neither G1 nor G3) and ``gamma3``, and the
     stiffness block ``bulk_block`` of the bulk rows and columns, which does
     not depend on the data or the exchange coefficient.  Its arrays are
-    read-only.  Members that only some solvers need, such as
-    a factorization, are built by ``once`` on first use.  Get a bundle from
-    ``mesh_operators``; it lives as long as its mesh.
+    read-only.  Members that only some solvers need, such as a
+    factorization, are built by ``once`` on first use.  Solvers read the
+    bundle and the data's ``assemble_load``; nothing else holds per-mesh
+    operators.  Get a bundle from ``mesh_operators``; it lives as long as
+    its mesh.
     """
 
     def __init__(self, mesh: Mesh):
@@ -344,15 +343,14 @@ class MeshOperators:
         self.mass = assemble_mass(mesh)
         self.gamma3_weights, self.gamma3_mass = assemble_boundary_mass(mesh)
         self.dof_v0 = build_dof_map(mesh, "V0")
-        self.dof_k0 = build_dof_map(mesh, "K0")
         classes = self.dof_v0.vertex_class
         self.bulk = np.nonzero(classes == VertexClass.FREE)[0]
         self.gamma3 = np.nonzero(classes == VertexClass.GAMMA3)[0]
         self.bulk_block = self.stiffness[self.bulk][:, self.bulk]
         _freeze(
             self.stiffness, self.mass, self.gamma3_weights, self.gamma3_mass,
-            self.dof_v0.vertex_class, self.dof_v0.fixed, self.dof_k0.vertex_class,
-            self.dof_k0.fixed, self.bulk, self.gamma3, self.bulk_block,
+            self.dof_v0.vertex_class, self.dof_v0.fixed, self.bulk, self.gamma3,
+            self.bulk_block,
         )
 
     def once(self, key: str, build: Callable[[], object]):
@@ -394,54 +392,6 @@ def mesh_operators(mesh: Mesh) -> MeshOperators:
     if ops.report:
         raise AssemblyError("invalid mesh: " + "; ".join(ops.report[:4]))
     return ops
-
-
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Everything a solver needs, assembled once over the full vertex set."""
-
-    mesh: Mesh
-    stiffness: sp.csr_matrix
-    mass: sp.csr_matrix
-    load: np.ndarray
-    gamma3_weights: np.ndarray
-    gamma3_mass: sp.csr_matrix
-    dof_map: DofMap
-    data: ProblemData
-
-    @property
-    def gamma3_nodes(self) -> np.ndarray:
-        return np.nonzero(self.dof_map.vertex_class == VertexClass.GAMMA3)[0]
-
-
-def assemble_system(mesh: Mesh, data: ProblemData) -> AssembledSystem:
-    """The load of ``data`` with the mesh's stiffness, mass, G3 mass and V0 map."""
-    ops = mesh_operators(mesh)
-    return AssembledSystem(
-        mesh=mesh,
-        stiffness=ops.stiffness,
-        mass=ops.mass,
-        load=assemble_load(mesh, data),
-        gamma3_weights=ops.gamma3_weights,
-        gamma3_mass=ops.gamma3_mass,
-        dof_map=ops.dof_v0,
-        data=data,
-    )
-
-
-def export_coo(matrix: sp.spmatrix) -> str:
-    """Coordinate-format text dump, one ``row col value`` triple per line.
-
-    Entries are sorted by row then column so the output is deterministic;
-    intended for debugging, not as an interchange format.
-    """
-    coo = sp.coo_matrix(matrix)
-    coo.sum_duplicates()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
-        f"{coo.row[k]} {coo.col[k]} {coo.data[k]:.17g}" for k in order
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def v_norm(stiffness: sp.spmatrix, mass: sp.spmatrix, v: np.ndarray) -> float:

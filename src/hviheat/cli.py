@@ -161,16 +161,22 @@ def parse_config(text: str) -> RunConfig:
     def take(key: str) -> tuple[str, int] | None:
         return pairs.pop(key, None)
 
-    def take_float(key: str) -> float | None:
+    def take_float(key: str, positive: bool = False) -> float | None:
         item = take(key)
         if item is None:
             return None
         value, lineno = item
         try:
-            return float(value)
+            out = float(value)
         except ValueError:
-            errors.append(f"line {lineno}: {key} must be a number, got {value!r}")
+            out = np.nan
+        if not np.isfinite(out):
+            errors.append(f"line {lineno}: {key} must be a finite number, got {value!r}")
             return None
+        if positive and out <= 0.0:
+            errors.append(f"line {lineno}: {key} must be positive")
+            return None
+        return out
 
     def take_int(key: str, minimum: int | None = None) -> int | None:
         item = take(key)
@@ -217,10 +223,13 @@ def parse_config(text: str) -> RunConfig:
             return None
         value, lineno = item
         try:
-            return tuple(float(part) for part in value.split(",") if part.strip())
+            out = tuple(float(part) for part in value.split(",") if part.strip())
         except ValueError:
-            errors.append(f"line {lineno}: {key} must be comma-separated numbers")
+            out = (np.nan,)
+        if not np.all(np.isfinite(out)):
+            errors.append(f"line {lineno}: {key} must be comma-separated finite numbers")
             return None
+        return out
 
     command_item = take_choice("command", COMMANDS)
     if command_item is None and not any("command" in e for e in errors):
@@ -246,13 +255,7 @@ def parse_config(text: str) -> RunConfig:
     if b is not None:
         cfg.b = b
 
-    alpha_item = pairs.get("problem.alpha")
-    alpha = take_float("problem.alpha")
-    if alpha is not None:
-        if alpha <= 0.0:
-            errors.append(f"line {alpha_item[1]}: problem.alpha must be positive")
-        else:
-            cfg.alpha = alpha
+    cfg.alpha = take_float("problem.alpha", positive=True)
     cfg.alphas = take_floats("problem.alphas")
     if cfg.alphas is not None and any(a <= 0 for a in cfg.alphas):
         errors.append("problem.alphas must all be positive")
@@ -261,15 +264,13 @@ def parse_config(text: str) -> RunConfig:
     cfg.potential_id = pid_item[0] if pid_item else None
     cfg.potential_b = take_float("potential.b")
     for key in sorted(k for k in pairs if k.startswith(_PARAM_PREFIX)):
-        value, lineno = pairs.pop(key)
-        try:
-            cfg.potential_params[key[len(_PARAM_PREFIX):]] = float(value)
-        except ValueError:
-            errors.append(f"line {lineno}: {key} must be a number")
+        value = take_float(key)
+        if value is not None:
+            cfg.potential_params[key[len(_PARAM_PREFIX):]] = value
 
     solver_kwargs: dict[str, object] = {}
     for name in ("tol_interior", "tol_inclusion"):
-        value = take_float(f"solver.{name}")
+        value = take_float(f"solver.{name}", positive=True)
         if value is not None:
             solver_kwargs[name] = value
     max_iters = take_int("solver.max_iters", minimum=0)

@@ -22,20 +22,17 @@ declared on the certificate, never on step size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    AssembledSystem,
     MeshOperators,
     ProblemData,
-    VertexClass,
     _freeze,
-    assemble_system,
+    assemble_load,
     mesh_operators,
     v0_seminorm,
     v_norm,
@@ -107,12 +104,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Solution:
-    """Nodal field with its discrete norms and a provenance snapshot."""
+    """Nodal field with its discrete norms."""
 
     values: np.ndarray
     norm_v: float
     seminorm_v0: float
-    provenance: Mapping[str, object] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -165,13 +161,12 @@ def _trace_reduction(ops: MeshOperators) -> tuple[np.ndarray, sp.csr_matrix, np.
     return ops.once("trace_reduction", build)
 
 
-def _linear_solve(A: sp.spmatrix, rhs: np.ndarray, factor=None) -> tuple[np.ndarray, float]:
-    """SPD solve by sparse factorization, refined once when the residual asks.
+def _linear_solve(A: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray, float]:
+    """Solve ``A x = rhs`` with the factorization ``lu`` of ``A``.
 
-    ``factor``, when given, returns a factorization of ``A`` on demand; it is
-    reused instead of factoring ``A`` again.
+    The solution is refined once when the residual asks; a relative residual
+    above 1e-10 after that raises ``LinearSolveError``.
     """
-    lu = factor() if factor is not None else spla.splu(sp.csc_matrix(A))
     rhs_norm = float(np.linalg.norm(rhs))
     x = lu.solve(rhs)
     history = [float(np.linalg.norm(rhs - A @ x))]
@@ -185,33 +180,31 @@ def _linear_solve(A: sp.spmatrix, rhs: np.ndarray, factor=None) -> tuple[np.ndar
     return x, relres
 
 
-def _make_solution(u: np.ndarray, system: AssembledSystem, provenance: dict) -> Solution:
-    return Solution(
+def _report(
+    ops: MeshOperators,
+    u: np.ndarray,
+    relres: float,
+    cert: Certificate,
+    iterations: int = 1,
+    converged: bool = True,
+) -> SolveReport:
+    """Report of the field ``u``; the defaults describe a linear solve."""
+    solution = Solution(
         values=u,
-        norm_v=v_norm(system.stiffness, system.mass, u),
-        seminorm_v0=v0_seminorm(system.stiffness, u),
-        provenance=provenance,
+        norm_v=v_norm(ops.stiffness, ops.mass, u),
+        seminorm_v0=v0_seminorm(ops.stiffness, u),
     )
+    return SolveReport(solution, iterations, relres, cert, converged)
 
 
-def _check_anchor(data: ProblemData, p: Potential, mesh: Mesh) -> None:
-    b_vec = data.b_nodal(mesh)
-    g3 = mesh_operators(mesh).gamma3
-    if np.any(b_vec[g3] != p.b):
-        raise ValueError(
-            f"potential anchored at b={p.b:g} but the problem datum on G3 differs"
-        )
-
-
-def _certificate(system: AssembledSystem, p: Potential, u: np.ndarray) -> Certificate:
-    res = system.stiffness @ u - system.load
-    free = ~system.dof_map.fixed
-    g3 = system.dof_map.vertex_class == VertexClass.GAMMA3
-    bulk = free & ~g3
-    interior = float(np.max(np.abs(res[bulk]))) if np.any(bulk) else 0.0
-    idx = np.nonzero(g3)[0]
-    lam = -res[idx] / (system.data.alpha * system.gamma3_weights[idx])
-    lo, hi = p.subdiff_bounds(u[idx])
+def _certificate(
+    ops: MeshOperators, f: np.ndarray, alpha: float, p: Potential, u: np.ndarray
+) -> Certificate:
+    res = ops.stiffness @ u - f
+    bulk, g3 = ops.bulk, ops.gamma3
+    interior = float(np.max(np.abs(res[bulk]))) if len(bulk) else 0.0
+    lam = -res[g3] / (alpha * ops.gamma3_weights[g3])
+    lo, hi = p.subdiff_bounds(u[g3])
     dist = np.maximum(np.maximum(lo - lam, lam - hi), 0.0)
     inclusion = float(dist.max()) if len(dist) else 0.0
     return Certificate(interior_residual_max=interior, gamma3_inclusion_max=inclusion)
@@ -223,8 +216,8 @@ def check_certificate(mesh: Mesh, data: ProblemData, p: Potential, u) -> Certifi
     ``u`` may be a ``Solution`` or a nodal array with the G1 values at zero.
     """
     values = u.values if isinstance(u, Solution) else np.asarray(u, dtype=float)
-    system = assemble_system(mesh, data)
-    return _certificate(system, p, values)
+    ops = mesh_operators(mesh)
+    return _certificate(ops, assemble_load(mesh, data), data.alpha, p, values)
 
 
 def solve_dirichlet(
@@ -235,31 +228,18 @@ def solve_dirichlet(
     The free-node system is symmetric positive definite, so the solution is
     unique; the report's certificate carries the free-row residual.
     """
-    system = assemble_system(mesh, data)
     ops = mesh_operators(mesh)
-    nv = mesh.num_vertices
-    u = np.zeros(nv)
-    g3 = ops.gamma3
+    f = assemble_load(mesh, data)
+    A, bulk, g3 = ops.stiffness, ops.bulk, ops.gamma3
+    u = np.zeros(mesh.num_vertices)
     u[g3] = data.b_nodal(mesh)[g3]
 
-    # the K0 free set is the bulk set, so the bulk factor solves this system
-    free = ops.bulk
-    fixed = ops.dof_k0.fixed_indices
-    A = system.stiffness
-    rhs = system.load[free] - A[free][:, fixed] @ u[fixed]
-    x, relres = _linear_solve(ops.bulk_block, rhs, factor=lambda: _bulk_factor(ops))
-    u[free] = x
+    # the free set is the bulk set (u is zero on G1), so the bulk factor solves it
+    rhs = f[bulk] - A[bulk][:, g3] @ u[g3]
+    u[bulk], relres = _linear_solve(ops.bulk_block, rhs, _bulk_factor(ops))
 
-    residual = float(np.max(np.abs((A @ u - system.load)[free]))) if len(free) else 0.0
-    cert = Certificate(interior_residual_max=residual, gamma3_inclusion_max=0.0)
-    sol = _make_solution(u, system, {"problem": "dirichlet", "alpha": data.alpha, "potential": ""})
-    return SolveReport(
-        solution=sol,
-        iterations=1,
-        linear_residual=relres,
-        certificate=cert,
-        converged=True,
-    )
+    residual = float(np.max(np.abs((A @ u - f)[bulk]))) if len(bulk) else 0.0
+    return _report(ops, u, relres, Certificate(residual, 0.0))
 
 
 def solve_robin(
@@ -272,38 +252,29 @@ def solve_robin(
 
     The exchange term uses the consistent edge mass by default, which keeps
     the benchmark with an affine solution exact; ``boundary_mass="lumped"``
-    switches to the nodal weights used by the multivalued solver.
+    switches to the nodal weights used by the multivalued solver.  The
+    matrix depends on ``alpha``, so each solve factors its own.
     """
     if boundary_mass not in ("consistent", "lumped"):
         raise ValueError(f"unknown boundary mass {boundary_mass!r}")
-    system = assemble_system(mesh, data)
+    ops = mesh_operators(mesh)
+    f = assemble_load(mesh, data)
     alpha = data.alpha
     b_vec = data.b_nodal(mesh)
     if boundary_mass == "consistent":
-        K = system.stiffness + alpha * system.gamma3_mass
-        rhs_full = system.load + alpha * (system.gamma3_mass @ b_vec)
+        K = ops.stiffness + alpha * ops.gamma3_mass
+        rhs_full = f + alpha * (ops.gamma3_mass @ b_vec)
     else:
-        K = system.stiffness + alpha * sp.diags(system.gamma3_weights)
-        rhs_full = system.load + alpha * system.gamma3_weights * b_vec
+        K = ops.stiffness + alpha * sp.diags(ops.gamma3_weights)
+        rhs_full = f + alpha * ops.gamma3_weights * b_vec
 
-    dof = system.dof_map
-    free = dof.free_indices
+    free = ops.dof_v0.free_indices
+    K_free = sp.csr_matrix(K)[free][:, free]
     u = np.zeros(mesh.num_vertices)
-    x, relres = _linear_solve(sp.csr_matrix(K)[free][:, free], rhs_full[free])
-    u[free] = x
+    u[free], relres = _linear_solve(K_free, rhs_full[free], spla.splu(sp.csc_matrix(K_free)))
 
     residual = float(np.max(np.abs((K @ u - rhs_full)[free])))
-    cert = Certificate(interior_residual_max=residual, gamma3_inclusion_max=0.0)
-    sol = _make_solution(
-        u, system, {"problem": f"robin_{boundary_mass}", "alpha": alpha, "potential": ""}
-    )
-    return SolveReport(
-        solution=sol,
-        iterations=1,
-        linear_residual=relres,
-        certificate=cert,
-        converged=True,
-    )
+    return _report(ops, u, relres, Certificate(residual, 0.0))
 
 
 def solve_hvi(
@@ -334,19 +305,20 @@ def solve_hvi(
     (seeded from the options, for multistart probing), or None for the
     lumped linear-exchange solution.
     """
-    _check_anchor(data, p, mesh)
-    system = assemble_system(mesh, data)
     ops = mesh_operators(mesh)
-    f = system.load
     g3, bulk = ops.gamma3, ops.bulk
-    am = data.alpha * system.gamma3_weights[g3]
+    b_g3 = data.b_nodal(mesh)[g3]
+    if np.any(b_g3 != p.b):
+        raise ValueError(f"potential anchored at b={p.b:g} but the problem datum on G3 differs")
+    f = assemble_load(mesh, data)
+    am = data.alpha * ops.gamma3_weights[g3]
     lu = _bulk_factor(ops)
     A_bg, A_gb, S = _trace_reduction(ops)
     f_red = f[g3] - A_gb @ lu.solve(f[bulk])
 
     nv = mesh.num_vertices
     if initial is None:
-        u = np.linalg.solve(S + np.diag(am), f_red + am * data.b_nodal(mesh)[g3])
+        u = np.linalg.solve(S + np.diag(am), f_red + am * b_g3)
     elif isinstance(initial, str):
         if initial != "random":
             raise ValueError(f"unknown initial iterate {initial!r}")
@@ -420,13 +392,6 @@ def solve_hvi(
 
     full = np.zeros(nv)
     full[g3] = u
-    full[bulk], relres = _linear_solve(ops.bulk_block, f[bulk] - A_bg @ u, factor=lambda: lu)
-    cert = _certificate(system, p, full)
-    sol = _make_solution(full, system, {"problem": "hvi", "alpha": data.alpha, "potential": p.id})
-    return SolveReport(
-        solution=sol,
-        iterations=iterations,
-        linear_residual=relres,
-        certificate=cert,
-        converged=cert.within(opts),
-    )
+    full[bulk], relres = _linear_solve(ops.bulk_block, f[bulk] - A_bg @ u, lu)
+    cert = _certificate(ops, f, data.alpha, p, full)
+    return _report(ops, full, relres, cert, iterations, cert.within(opts))

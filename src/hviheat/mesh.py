@@ -88,6 +88,8 @@ class Mesh:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
+        interface = tuple(int(v) for v in self.interface_vertices)
+        object.__setattr__(self, "interface_vertices", interface)
 
     # -- basic counts -----------------------------------------------------
 
@@ -120,10 +122,6 @@ class Mesh:
     def edge_lengths(self, edges: np.ndarray) -> np.ndarray:
         d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
         return np.hypot(d[:, 0], d[:, 1])
-
-    def boundary_length(self, tag: BoundaryTag) -> float:
-        edges = self.edges_with_tag(tag)
-        return float(self.edge_lengths(edges).sum()) if len(edges) else 0.0
 
     def vertices_incident_to(self, tag: BoundaryTag) -> np.ndarray:
         """Sorted vertex indices touched by at least one edge of ``tag``."""
@@ -299,7 +297,9 @@ def save_mesh(mesh: Mesh) -> str:
     """Serialize a mesh to the line-oriented text format.
 
     The format round-trips exactly: coordinates are written with 17
-    significant digits, so ``load_mesh(save_mesh(m)) == m``.
+    significant digits, so ``load_mesh(save_mesh(m)) == m``.  The optional
+    ``interface`` section is written only when the mesh declares interface
+    vertices.
     """
     lines = ["meshfmt 1"]
     lines.append(f"vertices {mesh.num_vertices}")
@@ -311,6 +311,9 @@ def save_mesh(mesh: Mesh) -> str:
     lines.append(f"boundary {mesh.num_boundary_edges}")
     for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
         lines.append(f"{i} {j} {tag.value}")
+    if mesh.interface_vertices:
+        lines.append(f"interface {len(mesh.interface_vertices)}")
+        lines.extend(str(v) for v in mesh.interface_vertices)
     return "\n".join(lines) + "\n"
 
 
@@ -406,7 +409,17 @@ def load_mesh(text: str) -> Mesh:
         edges[r] = (a, b)
         tags.append(tag)
 
-    if pos != len(rows):
-        raise MeshFormatError("trailing content after boundary section", rows[pos][0])
+    interface: list[int] = []
+    if pos < len(rows) and rows[pos][1][0] == "interface":
+        for _ in range(section("interface")):
+            lineno, fields = next_row("interface vertex index")
+            if len(fields) != 1 or not fields[0].isdecimal() or int(fields[0]) >= nv:
+                raise MeshFormatError(
+                    f"expected one interface vertex index in [0, {nv}), got {fields!r}", lineno
+                )
+            interface.append(int(fields[0]))
 
-    return Mesh(vertices=vertices, triangles=triangles, boundary_edges=edges, boundary_tags=tuple(tags))
+    if pos != len(rows):
+        raise MeshFormatError("trailing content after the last section", rows[pos][0])
+
+    return Mesh(vertices, triangles, edges, tuple(tags), interface_vertices=tuple(interface))

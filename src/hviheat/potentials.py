@@ -79,23 +79,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.lo == self.hi
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-    def project(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
-
-    def distance(self, x: float) -> float:
-        return max(self.lo - x, x - self.hi, 0.0)
-
 
 def _root_from_above(h, dh, x: float) -> float:
     """Largest root of a convex ``h`` by Newton from a point ``x`` right of it.

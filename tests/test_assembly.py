@@ -9,7 +9,6 @@ from hviheat.assembly import (
     assemble_load,
     assemble_mass,
     assemble_stiffness,
-    assemble_system,
     build_dof_map,
     estimate_coercivity,
     mesh_operators,
@@ -195,21 +194,6 @@ class TestCoercivity:
         assert np.isfinite(err.value.last_estimate)
 
 
-def test_export_coo_roundtrip():
-    from hviheat.assembly import export_coo
-    import scipy.sparse as sp
-
-    A = assemble_stiffness(generate_unit_square_mesh(1))
-    text = export_coo(A)
-    rows, cols, vals = zip(*(line.split() for line in text.splitlines()))
-    rebuilt = sp.coo_matrix(
-        (np.array(vals, dtype=float), (np.array(rows, int), np.array(cols, int))),
-        shape=A.shape,
-    )
-    assert np.array_equal(rebuilt.toarray(), A.toarray())
-    assert export_coo(A) == text  # deterministic
-
-
 def test_v_norm_matches_quadratic_form():
     m = generate_unit_square_mesh(4)
     A, M = assemble_stiffness(m), assemble_mass(m)
@@ -231,7 +215,9 @@ class TestMeshOperators:
         classes = build_dof_map(m, "V0").vertex_class
         assert np.array_equal(ops.bulk, np.nonzero(classes == VertexClass.FREE)[0])
         assert np.array_equal(ops.gamma3, np.nonzero(classes == VertexClass.GAMMA3)[0])
-        assert np.array_equal(ops.dof_k0.fixed, build_dof_map(m, "K0").fixed)
+        # the Dirichlet (K0) fixed set is everything outside the bulk
+        fixed = build_dof_map(m, "K0").fixed_indices
+        assert np.array_equal(np.setdiff1d(np.arange(m.num_vertices), ops.bulk), fixed)
         # an equal but distinct mesh gets its own bundle
         assert mesh_operators(generate_unit_square_mesh(3)) is not ops
 
@@ -259,6 +245,6 @@ class TestMeshOperators:
         bad = Mesh(m.vertices, m.triangles, m.boundary_edges, tags)
         assert mesh_report(bad) == ("G3 empty: every boundary portion must have positive measure",)
         with pytest.raises(AssemblyError, match="invalid mesh: G3 empty"):
-            assemble_system(bad, ProblemData.make(bad))
+            assemble_load(bad, ProblemData.make(bad))
         with pytest.raises(AssemblyError, match="invalid mesh"):
             mesh_operators(bad)

@@ -11,7 +11,7 @@ from hviheat.cli import (
     run,
 )
 from hviheat.expressions import ExpressionError, compile_expression
-from hviheat.mesh import generate_unit_square_mesh, save_mesh
+from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh, save_mesh
 
 MINIMAL = """
 command = solve
@@ -60,6 +60,30 @@ class TestParseConfig:
         bad = MINIMAL.replace("problem.alpha = 10", "problem.alpha = -1")
         with pytest.raises(ConfigError, match="problem.alpha must be positive"):
             parse_config(bad)
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("solver.tol_inclusion = nan", "solver.tol_inclusion must be a finite number"),
+            ("solver.tol_interior = -1", "solver.tol_interior must be positive"),
+            ("solver.tol_inclusion = 0", "solver.tol_inclusion must be positive"),
+            ("problem.alpha = nan", "problem.alpha must be a finite number, got 'nan'"),
+            ("problem.b = inf", "problem.b must be a finite number, got 'inf'"),
+            ("problem.b = ten", "problem.b must be a finite number, got 'ten'"),
+            ("problem.alphas = 1,nan", "problem.alphas must be comma-separated finite numbers"),
+            ("experiment.rel_target = -inf", "experiment.rel_target must be a finite number"),
+            ("potential.params.beta = nan", "potential.params.beta must be a finite number"),
+        ],
+    )
+    def test_non_finite_or_meaningless_number_exits_2_naming_the_line(
+        self, tmp_path, line, message
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"command = solve\nmesh.n = 4\npotential.id = quadratic\n{line}\n")
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert f"line 4: {message}" in payload["message"]
 
     def test_duplicate_key_names_both_lines(self):
         text = "command = solve\nmesh.n = 4\nproblem.alpha = 1\nmesh.n = 8\n"
@@ -142,6 +166,38 @@ class TestRun:
         rows = (tmp_path / "out" / "solution.csv").read_text().splitlines()[1:]
         values = {float(r.split(",")[1]): float(r.split(",")[3]) for r in rows}
         assert abs(values[1.0] - 0.9) <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["dirichlet", "robin", "hvi"])
+    def test_mesh_file_with_interface_vertex_certifies(self, tmp_path, kind):
+        # G3 on x=1 and on y=1, so it meets G1 (x=0) at the declared vertex (0, 1)
+        n = 6
+        m = generate_unit_square_mesh(n)
+        top = m.vertices[m.boundary_edges][:, :, 1].min(axis=1) == 1.0
+        tags = tuple(BoundaryTag.GAMMA3 if t else tag for t, tag in zip(top, m.boundary_tags))
+        corner = n * (n + 1)
+        mesh = Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=(corner,))
+        mesh_path = tmp_path / "corner.mesh"
+        mesh_path.write_text(save_mesh(mesh))
+        text = (
+            f"command = solve\nmesh.file = {mesh_path}\nproblem.kind = {kind}\n"
+            "problem.g = 2\nproblem.q = 0.5\nproblem.b = 0.5\nproblem.alpha = 3\n"
+        )
+        if kind == "hvi":
+            text += "potential.id = exp_quadratic\n"
+        assert run(parse_config(text), tmp_path / "out") == 0
+        cert = dict(
+            line.split(",", 1)
+            for line in (tmp_path / "out" / "certificate.csv").read_text().splitlines()[1:]
+        )
+        assert cert["converged"] == "true"
+        assert float(cert["certificate_max"]) <= 1e-8
+        rows = (tmp_path / "out" / "solution.csv").read_text().splitlines()[1:]
+        u = np.array([float(r.split(",")[3]) for r in rows])
+        assert u[corner] == 0.0  # the G1 condition wins at the interface vertex
+        if kind == "dirichlet":
+            g3_edges = m.boundary_edges[np.array(tags) == BoundaryTag.GAMMA3]
+            g3 = np.setdiff1d(np.unique(g3_edges), [corner])
+            assert np.all(u[g3] == 0.5)
 
     def test_non_finite_mesh_vertex_exits_2_naming_the_file(self, tmp_path):
         text = save_mesh(generate_unit_square_mesh(2)).splitlines()

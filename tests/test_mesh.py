@@ -230,6 +230,22 @@ def test_roundtrip_identity():
     assert load_mesh(save_mesh(m)) == m
 
 
+def test_roundtrip_interface_vertices():
+    m = generate_unit_square_mesh(1)
+    tags = list(m.boundary_tags)
+    tags[0] = BoundaryTag.GAMMA3  # vertex 0 is on the G1 edge too
+    # any integer sequence is kept as a tuple of ints
+    corner = Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=np.array([0]))
+    assert corner.interface_vertices == (0,)
+    text = save_mesh(corner)
+    assert text.endswith("interface 1\n0\n")
+    loaded = load_mesh(text)
+    assert loaded == corner
+    assert validate_mesh(loaded) == []
+    # a mesh without interface vertices has no interface section
+    assert "interface" not in save_mesh(m)
+
+
 def test_roundtrip_irrational_coordinates():
     m = generate_unit_square_mesh(2)
     vertices = m.vertices + np.pi / 700.0  # exercises full-precision formatting
@@ -276,6 +292,18 @@ def test_load_requires_boundary_section():
         ),
         (
             "meshfmt 1\nvertices 2\n0 0\n1 0\ntriangles 0\nboundary 0\nstray\n",
+            "trailing content",
+        ),
+        (
+            "meshfmt 1\nvertices 2\n0 0\n1 0\ntriangles 0\nboundary 0\ninterface 1\n2\n",
+            "interface vertex index in \\[0, 2\\)",
+        ),
+        (
+            "meshfmt 1\nvertices 2\n0 0\n1 0\ntriangles 0\nboundary 0\ninterface 1\n-1\n",
+            "interface vertex index",
+        ),
+        (
+            "meshfmt 1\nvertices 2\n0 0\n1 0\ntriangles 0\nboundary 0\ninterface 1\n0\n1\n",
             "trailing content",
         ),
     ],

@@ -1,9 +1,11 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hviheat.assembly
 import hviheat.hvi_solver
@@ -18,6 +20,7 @@ from hviheat.assembly import (
 )
 from hviheat.cli import parse_config, run
 from hviheat.hvi_solver import (
+    LinearSolveError,
     SolverOptions,
     check_certificate,
     solve_dirichlet,
@@ -108,6 +111,43 @@ class TestRobin:
         m = generate_unit_square_mesh(2)
         with pytest.raises(ValueError):
             solve_robin(m, ProblemData.make(m, alpha=1.0), boundary_mass="magic")
+
+
+def _perturbed_factorization(monkeypatch):
+    """Make ``splu`` in the solver factor ``A + diag(A)/2`` instead of ``A``.
+
+    One refinement step then leaves a relative residual near 1e-1, far above
+    the 1e-10 contract.
+    """
+    splu = hviheat.hvi_solver.spla.splu
+    monkeypatch.setattr(
+        hviheat.hvi_solver,
+        "spla",
+        SimpleNamespace(splu=lambda A: splu(sp.csc_matrix(A + 0.5 * sp.diags(A.diagonal())))),
+    )
+
+
+def test_linear_solve_missing_its_contract_raises_with_the_history(monkeypatch):
+    _perturbed_factorization(monkeypatch)
+    m = generate_unit_square_mesh(6)
+    with pytest.raises(LinearSolveError, match="exceeds 1e-10") as err:
+        solve_robin(m, ProblemData.make(m, g=-1.0, b=1.0, alpha=3.0))
+    history = err.value.history
+    assert len(history) == 2  # the first solve and one refinement
+    assert history[1] < history[0]
+
+
+def test_linear_solve_error_exits_1_with_error_file(monkeypatch, tmp_path):
+    _perturbed_factorization(monkeypatch)
+    cfg = parse_config(
+        "command = solve\nmesh.n = 6\nproblem.kind = robin\nproblem.g = -1\n"
+        "problem.b = 1\nproblem.alpha = 3\n"
+    )
+    assert run(cfg, tmp_path) == 1
+    payload = json.loads((tmp_path / "error.json").read_text())
+    assert payload["error"] == "LinearSolveError"
+    assert payload["status"] == 1
+    assert not (tmp_path / "solution.csv").exists()
 
 
 class TestHvi:
