@@ -42,7 +42,6 @@ from .potentials import (
     make_potential,
 )
 from .verification import (
-    DEFAULT_LINEAR_ALPHAS,
     PreconditionError,
     refinement_study,
     verify_alpha_convergence,
@@ -56,14 +55,17 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "run", "describe_potentia
 
 COMMANDS = ("solve", "experiment", "check-potential")
 PROBLEM_KINDS = ("dirichlet", "robin", "robin_lumped", "hvi", "vi")
-EXPERIMENTS = (
-    "linear_theorem",
-    "comparison",
-    "monotonicity",
-    "alpha_convergence",
-    "continuous_dependence",
-    "refinement",
-)
+# Each experiment with the parameters it takes from the configuration.  A
+# parameter the configuration does not set keeps the experiment's own default.
+_EXPERIMENTS = {
+    "linear_theorem": (verify_linear_theorem, ("alphas", "rel_target")),
+    "comparison": (verify_comparison, ("alphas",)),
+    "monotonicity": (verify_monotonicity, ("alpha_pairs", "override")),
+    "alpha_convergence": (verify_alpha_convergence, ("alphas", "final_rel_target", "rate_window")),
+    "continuous_dependence": (verify_continuous_dependence, ("ratio_target", "ratio_tol")),
+    "refinement": (refinement_study, ("n_list",)),
+}
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 _KNOWN_KEYS = {
     "command",
@@ -80,7 +82,6 @@ _KNOWN_KEYS = {
     "solver.tol_interior",
     "solver.tol_inclusion",
     "solver.max_iters",
-    "solver.seed",
     "experiment.id",
     "experiment.alpha_pairs",
     "experiment.override",
@@ -276,9 +277,6 @@ def parse_config(text: str) -> RunConfig:
     max_iters = take_int("solver.max_iters", minimum=0)
     if max_iters is not None:
         solver_kwargs["max_iters"] = max_iters
-    seed = take_int("solver.seed")
-    if seed is not None:
-        solver_kwargs["seed"] = seed
     cfg.solver = SolverOptions(**solver_kwargs)  # type: ignore[arg-type]
 
     exp_item = take_choice("experiment.id", EXPERIMENTS)
@@ -292,11 +290,18 @@ def parse_config(text: str) -> RunConfig:
             )
             if any(len(p) != 2 for p in parsed_pairs):
                 raise ValueError
-            cfg.experiment["alpha_pairs"] = parsed_pairs
         except ValueError:
             errors.append(
                 f"line {lineno}: experiment.alpha_pairs must look like '1:10,10:100'"
             )
+        else:
+            if all(0 < a1 <= a2 < np.inf for a1, a2 in parsed_pairs):
+                cfg.experiment["alpha_pairs"] = parsed_pairs
+            else:
+                errors.append(
+                    f"line {lineno}: experiment.alpha_pairs must be finite pairs "
+                    f"a1:a2 with 0 < a1 <= a2, got {value!r}"
+                )
     override = take_choice("experiment.override", ("true", "false"))
     if override is not None:
         cfg.experiment["override"] = override[0] == "true"
@@ -314,9 +319,17 @@ def parse_config(text: str) -> RunConfig:
     if n_list_item is not None:
         value, lineno = n_list_item
         try:
-            cfg.experiment["n_list"] = tuple(int(part) for part in value.split(","))
+            n_list = tuple(int(part) for part in value.split(","))
         except ValueError:
             errors.append(f"line {lineno}: experiment.n_list must be comma-separated integers")
+        else:
+            if n_list[0] >= 1 and all(a < b for a, b in zip(n_list, n_list[1:])):
+                cfg.experiment["n_list"] = n_list
+            else:
+                errors.append(
+                    f"line {lineno}: experiment.n_list must be increasing integers "
+                    f"of at least 1, got {value!r}"
+                )
     workers = take_int("experiment.workers", minimum=1)
     if workers is not None:
         cfg.workers = workers
@@ -367,13 +380,13 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
     return generate_unit_square_mesh(cfg.mesh_n)
 
 
-def _build_data(cfg: RunConfig, mesh: Mesh, alpha: float) -> ProblemData:
+def _build_data(cfg: RunConfig, mesh: Mesh) -> ProblemData:
     return ProblemData.make(
         mesh,
         g=compile_expression(cfg.g_text),
         q=compile_expression(cfg.q_text),
         b=cfg.b,
-        alpha=alpha,
+        alpha=cfg.alpha if cfg.alpha is not None else 1.0,
     )
 
 
@@ -408,8 +421,7 @@ def _certificate_csv(report: SolveReport) -> str:
 
 def _run_solve(cfg: RunConfig, out: Path) -> int:
     mesh = _build_mesh(cfg)
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0
-    data = _build_data(cfg, mesh, alpha)
+    data = _build_data(cfg, mesh)
     kind = cfg.problem_kind or "robin"
     if kind == "dirichlet":
         report = solve_dirichlet(mesh, data, cfg.solver)
@@ -429,99 +441,43 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
 
 def _run_experiment(cfg: RunConfig, out: Path) -> int:
     mesh = _build_mesh(cfg)
+    data = _build_data(cfg, mesh)
     exp = cfg.experiment_id
-    assert exp is not None
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0
-    alphas = cfg.alphas
+    if exp not in _EXPERIMENTS:  # pragma: no cover - guarded by parse_config
+        raise ConfigError([f"unknown experiment {exp!r}"])
+    experiment, params = _EXPERIMENTS[exp]
+    given = dict(cfg.experiment)
+    if cfg.alphas:
+        given["alphas"] = cfg.alphas
+    if "rate_lo" in given and "rate_hi" in given:
+        given["rate_window"] = (given["rate_lo"], given["rate_hi"])
+    kwargs = {key: given[key] for key in params if key in given}
+    kwargs.update(opts=cfg.solver, workers=cfg.workers)
 
-    if exp == "linear_theorem":
-        data = _build_data(cfg, mesh, alpha)
-        report = verify_linear_theorem(
-            mesh,
-            data,
-            alphas=alphas or DEFAULT_LINEAR_ALPHAS,
-            rel_target=float(cfg.experiment.get("rel_target", 1e-3)),
-            opts=cfg.solver,
-            workers=cfg.workers,
-        )
-    elif exp == "comparison":
-        data = _build_data(cfg, mesh, alpha)
-        report = verify_comparison(
-            mesh,
-            data,
-            _build_potential(cfg),
-            alphas=alphas or (1.0, 10.0, 100.0),
-            opts=cfg.solver,
-            workers=cfg.workers,
-        )
-    elif exp == "monotonicity":
-        data = _build_data(cfg, mesh, alpha)
-        report = verify_monotonicity(
-            mesh,
-            data,
-            _build_potential(cfg),
-            alpha_pairs=cfg.experiment.get("alpha_pairs", ((1.0, 10.0), (10.0, 100.0))),
-            override=bool(cfg.experiment.get("override", False)),
-            opts=cfg.solver,
-            workers=cfg.workers,
-        )
-    elif exp == "alpha_convergence":
-        data = _build_data(cfg, mesh, alpha)
-        rate_window = None
-        if "rate_lo" in cfg.experiment and "rate_hi" in cfg.experiment:
-            rate_window = (
-                float(cfg.experiment["rate_lo"]),
-                float(cfg.experiment["rate_hi"]),
-            )
-        report = verify_alpha_convergence(
-            mesh,
-            data,
-            _build_potential(cfg),
-            alphas=alphas or (1.0, 10.0, 100.0, 1000.0),
-            final_rel_target=float(cfg.experiment.get("final_rel_target", 1e-2)),
-            rate_window=rate_window,
-            opts=cfg.solver,
-            workers=cfg.workers,
-        )
-    elif exp == "continuous_dependence":
-        data = _build_data(cfg, mesh, alpha)
-        bump = compile_expression(str(cfg.experiment.get("bump", "x*(1-x)*y*(1-y)")))
-        levels = int(cfg.experiment.get("levels", 5))
-        base_g = data.g
-        perturbed = []
-        for k in range(levels):
-            scale = 2.0 ** (-k)
-            g_k = base_g + scale * bump(mesh.vertices[:, 0], mesh.vertices[:, 1])
-            perturbed.append(ProblemData(g=g_k, q=data.q, b=data.b, alpha=data.alpha))
-        ratio_target = cfg.experiment.get("ratio_target")
-        report = verify_continuous_dependence(
-            mesh,
-            data,
-            _build_potential(cfg),
-            perturbed,
-            ratio_target=float(ratio_target) if ratio_target is not None else None,
-            ratio_tol=float(cfg.experiment.get("ratio_tol", 0.25)),
-            opts=cfg.solver,
-            workers=cfg.workers,
-        )
-    elif exp == "refinement":
-        n_list = cfg.experiment.get("n_list", (2, 4, 8, 16))
-        potential = _build_potential(cfg) if cfg.potential_id else None
+    if exp == "refinement":
         kind = cfg.problem_kind or "robin"
-        report = refinement_study(
-            n_list,  # type: ignore[arg-type]
-            alpha,
+        args = ()
+        kwargs.update(
+            alpha=data.alpha,
             g=compile_expression(cfg.g_text),
             q=compile_expression(cfg.q_text),
             b=cfg.b,
             problem="hvi" if kind in ("hvi", "vi") else kind,
-            p=potential,
-            expect_exact=False,
-            opts=cfg.solver,
-            workers=cfg.workers,
+            p=_build_potential(cfg) if cfg.potential_id else None,
         )
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError([f"unknown experiment {exp!r}"])
+    elif exp == "continuous_dependence":
+        bump = compile_expression(cfg.experiment.get("bump", "x*(1-x)*y*(1-y)"))
+        shape = bump(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        perturbed = [
+            ProblemData(g=data.g + 2.0 ** (-k) * shape, q=data.q, b=data.b, alpha=data.alpha)
+            for k in range(cfg.experiment.get("levels", 5))
+        ]
+        args = (mesh, data, _build_potential(cfg), perturbed)
+    elif exp == "linear_theorem":
+        args = (mesh, data)
+    else:
+        args = (mesh, data, _build_potential(cfg))
+    report = experiment(*args, **kwargs)
 
     _write(out / f"{exp}.csv", report.to_csv())
     _write(out / "verdicts.txt", report.summary())

@@ -60,7 +60,6 @@ class SolverOptions:
     tol_interior: float = 1e-9
     tol_inclusion: float = 1e-8
     max_iters: int = 10_000
-    seed: int = 0
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -185,16 +184,16 @@ def _report(
     u: np.ndarray,
     relres: float,
     cert: Certificate,
+    opts: SolverOptions,
     iterations: int = 1,
-    converged: bool = True,
 ) -> SolveReport:
-    """Report of the field ``u``; the defaults describe a linear solve."""
+    """Report of the field ``u``, converged exactly when ``cert`` is within ``opts``."""
     solution = Solution(
         values=u,
         norm_v=v_norm(ops.stiffness, ops.mass, u),
         seminorm_v0=v0_seminorm(ops.stiffness, u),
     )
-    return SolveReport(solution, iterations, relres, cert, converged)
+    return SolveReport(solution, iterations, relres, cert, cert.within(opts))
 
 
 def _certificate(
@@ -239,7 +238,7 @@ def solve_dirichlet(
     u[bulk], relres = _linear_solve(ops.bulk_block, rhs, _bulk_factor(ops))
 
     residual = float(np.max(np.abs((A @ u - f)[bulk]))) if len(bulk) else 0.0
-    return _report(ops, u, relres, Certificate(residual, 0.0))
+    return _report(ops, u, relres, Certificate(residual, 0.0), opts)
 
 
 def solve_robin(
@@ -274,7 +273,7 @@ def solve_robin(
     u[free], relres = _linear_solve(K_free, rhs_full[free], spla.splu(sp.csc_matrix(K_free)))
 
     residual = float(np.max(np.abs((K @ u - rhs_full)[free])))
-    return _report(ops, u, relres, Certificate(residual, 0.0))
+    return _report(ops, u, relres, Certificate(residual, 0.0), opts)
 
 
 def solve_hvi(
@@ -282,7 +281,7 @@ def solve_hvi(
     data: ProblemData,
     p: Potential,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    initial: np.ndarray | str | None = None,
+    initial: np.ndarray | None = None,
 ) -> SolveReport:
     """Multivalued exchange law by descent on the energy of the G3 trace.
 
@@ -301,9 +300,8 @@ def solve_hvi(
     smallness condition the solution need not be unique; the solver returns
     one certified solution and reports failure honestly otherwise.
 
-    ``initial`` is the warm start: an explicit nodal field, ``"random"``
-    (seeded from the options, for multistart probing), or None for the
-    lumped linear-exchange solution.
+    ``initial`` is the warm start: an explicit nodal field (for multistart
+    probing), or None for the lumped linear-exchange solution.
     """
     ops = mesh_operators(mesh)
     g3, bulk = ops.gamma3, ops.bulk
@@ -319,10 +317,6 @@ def solve_hvi(
     nv = mesh.num_vertices
     if initial is None:
         u = np.linalg.solve(S + np.diag(am), f_red + am * b_g3)
-    elif isinstance(initial, str):
-        if initial != "random":
-            raise ValueError(f"unknown initial iterate {initial!r}")
-        u = np.random.default_rng(opts.seed).uniform(-1.0, 1.0, nv)[g3]
     else:
         start = np.asarray(initial, dtype=float)
         if start.shape != (nv,):
@@ -394,4 +388,4 @@ def solve_hvi(
     full[g3] = u
     full[bulk], relres = _linear_solve(ops.bulk_block, f[bulk] - A_bg @ u, lu)
     cert = _certificate(ops, f, data.alpha, p, full)
-    return _report(ops, full, relres, cert, iterations, cert.within(opts))
+    return _report(ops, full, relres, cert, opts, iterations)

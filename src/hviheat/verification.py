@@ -55,10 +55,7 @@ __all__ = [
     "verify_alpha_convergence",
     "verify_continuous_dependence",
     "refinement_study",
-    "DEFAULT_LINEAR_ALPHAS",
 ]
-
-DEFAULT_LINEAR_ALPHAS = (1.0, 10.0, 100.0, 1000.0, 10000.0)
 
 CSV_HEADER = "case_id,n,alpha,potential,err_V,margin_min,certificate_max,verdict"
 
@@ -198,10 +195,78 @@ def _l2_gamma2(mesh: Mesh, pairs: np.ndarray) -> float:
     return float(np.sqrt(np.sum(lengths * (a * a + a * bb + bb * bb) / 3.0)))
 
 
+def _v_norm(mesh: Mesh, v: np.ndarray) -> float:
+    ops = mesh_operators(mesh)
+    return v_norm(ops.stiffness, ops.mass, v)
+
+
+def _sweep(
+    mesh: Mesh,
+    data: ProblemData,
+    alphas: Sequence[float],
+    p: Potential | None,
+    opts: SolverOptions,
+    workers: int,
+) -> list[SolveReport]:
+    """One solve per exchange coefficient, with the data's g, q and b, in input order.
+
+    The Robin problem is solved when ``p`` is None, the multivalued law otherwise.
+    """
+
+    def solve(alpha: float) -> SolveReport:
+        case = ProblemData(g=data.g, q=data.q, b=data.b, alpha=float(alpha))
+        return solve_robin(mesh, case, opts) if p is None else solve_hvi(mesh, case, p, opts)
+
+    return _map_cases(solve, alphas, workers)
+
+
+def _row(
+    case_id: str,
+    n: int,
+    alpha: float,
+    p: Potential | None,
+    rep: SolveReport,
+    err_v: float = float("nan"),
+    margin_min: float = float("nan"),
+    verdict: str | None = None,
+) -> CaseRow:
+    """A case row; unless ``verdict`` is given it passes exactly when ``rep`` certified."""
+    if verdict is None:
+        verdict = "pass" if rep.converged else "fail"
+    potential = p.id if p is not None else ""
+    return CaseRow(case_id, n, float(alpha), potential, err_v, margin_min, _cert_max(rep), verdict)
+
+
+def _uncertified(label: str, rep: SolveReport, detail: str) -> ClaimResult:
+    return ClaimResult(f"certified[{label}]", "fail", -_cert_max(rep), detail)
+
+
+def _nonincreasing(
+    errors: Sequence[float], slack: float, scope: bool = False
+) -> list[ClaimResult]:
+    """The ``error_nonincreasing`` claim, or none with fewer than two errors."""
+    if len(errors) < 2:
+        return []
+    margin = min(errors[k] - errors[k + 1] for k in range(len(errors) - 1))
+    return [_claim("error_nonincreasing", margin, slack, scope=scope)]
+
+
+def _window(
+    name: str, values: Sequence[float], lo: float, hi: float, detail: str, scope: bool = False
+) -> ClaimResult:
+    """Every value lies in ``[lo, hi]``; the margin is the nearest approach to an end."""
+    margin = min(min(v - lo, hi - v) for v in values)
+    return _claim(name, margin, 0.0, scope=scope, detail=detail)
+
+
+def _ratios_text(ratios: Sequence[float]) -> str:
+    return "ratios " + ",".join(f"{r:.4f}" for r in ratios)
+
+
 def verify_linear_theorem(
     mesh: Mesh,
     data: ProblemData,
-    alphas: Sequence[float] = DEFAULT_LINEAR_ALPHAS,
+    alphas: Sequence[float] = (1.0, 10.0, 100.0, 1000.0, 10000.0),
     rel_target: float = 1e-3,
     slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
@@ -214,7 +279,8 @@ def verify_linear_theorem(
     every exchange solution stay below the datum, the exchange solutions stay
     below the limit solution and increase with the coefficient, and the error
     to the limit decreases along the sweep, ending below ``rel_target``
-    relative to the limit solution's norm.
+    relative to the limit solution's norm.  A case passes only when its
+    solve certified.
     """
     _require_h0(data)
     if np.ndim(data.b) != 0 or float(np.asarray(data.b)) <= 0.0:
@@ -223,28 +289,18 @@ def verify_linear_theorem(
     if any(a <= 0 for a in alphas):
         raise PreconditionError("all exchange coefficients must be positive")
 
-    ops = mesh_operators(mesh)
-    A, M = ops.stiffness, ops.mass
     b = float(np.asarray(data.b))
     n = _infer_n(mesh)
 
     u_inf = solve_dirichlet(mesh, data, opts).solution.values
     claims = [_claim("dirichlet_below_datum", float(np.min(b - u_inf)), slack)]
 
-    reports = _map_cases(
-        lambda alpha: solve_robin(
-            mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), opts
-        ),
-        alphas,
-        workers,
-    )
     rows: list[CaseRow] = []
     errors: list[float] = []
     prev_u = None
-    for alpha, rep in zip(alphas, reports):
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, None, opts, workers)):
         u = rep.solution.values
-        err = v_norm(A, M, u - u_inf)
-        errors.append(err)
+        errors.append(_v_norm(mesh, u - u_inf))
         margins = [float(np.min(b - u)), float(np.min(u_inf - u))]
         claims.append(_claim(f"robin_below_datum[alpha={alpha:g}]", margins[0], slack))
         claims.append(_claim(f"robin_below_dirichlet[alpha={alpha:g}]", margins[1], slack))
@@ -253,23 +309,12 @@ def verify_linear_theorem(
             margins.append(mono)
             claims.append(_claim(f"monotone_in_alpha[alpha={alpha:g}]", mono, slack))
         prev_u = u
-        rows.append(
-            CaseRow(
-                case_id=f"alpha_{alpha:g}",
-                n=n,
-                alpha=alpha,
-                potential="",
-                err_v=err,
-                margin_min=min(margins),
-                certificate_max=_cert_max(rep),
-                verdict="pass" if min(margins) >= -slack else "fail",
-            )
-        )
+        margin = min(margins)
+        verdict = "pass" if rep.converged and margin >= -slack else "fail"
+        rows.append(_row(f"alpha_{alpha:g}", n, alpha, None, rep, errors[-1], margin, verdict))
 
-    if len(errors) > 1:
-        mono_err = min(errors[k] - errors[k + 1] for k in range(len(errors) - 1))
-        claims.append(_claim("error_nonincreasing", mono_err, 1e-10))
-    norm_inf = v_norm(A, M, u_inf)
+    claims += _nonincreasing(errors, 1e-10)
+    norm_inf = _v_norm(mesh, u_inf)
     claims.append(
         _claim(
             "final_error_below_target",
@@ -315,55 +360,22 @@ def verify_comparison(
     b_vec = data.b_nodal(mesh)
     u_inf = solve_dirichlet(mesh, data, opts).solution.values
 
-    reports = _map_cases(
-        lambda alpha: solve_hvi(
-            mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=float(alpha)), p, opts
-        ),
-        tuple(alphas),
-        workers,
-    )
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
-    for alpha, rep in zip(alphas, reports):
-        u = rep.solution.values
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts, workers)):
         if not rep.converged:
-            claims.append(
-                ClaimResult(
-                    f"certified[alpha={alpha:g}]",
-                    "fail",
-                    -_cert_max(rep),
-                    "solver did not certify; case aborted",
-                )
-            )
-            rows.append(
-                CaseRow(
-                    case_id=f"alpha_{alpha:g}",
-                    n=n,
-                    alpha=float(alpha),
-                    potential=p.id,
-                    err_v=float("nan"),
-                    margin_min=float("nan"),
-                    certificate_max=_cert_max(rep),
-                    verdict="fail",
-                )
-            )
+            detail = "solver did not certify; case aborted"
+            claims.append(_uncertified(f"alpha={alpha:g}", rep, detail))
+            rows.append(_row(f"alpha_{alpha:g}", n, alpha, p, rep))
             continue
+        u = rep.solution.values
         m1 = float(np.min(b_vec - u))
         m2 = float(np.min(u_inf - u))
         claims.append(_claim(f"below_datum[alpha={alpha:g}]", m1, slack))
         claims.append(_claim(f"below_dirichlet[alpha={alpha:g}]", m2, slack))
-        rows.append(
-            CaseRow(
-                case_id=f"alpha_{alpha:g}",
-                n=n,
-                alpha=float(alpha),
-                potential=p.id,
-                err_v=float("nan"),
-                margin_min=min(m1, m2),
-                certificate_max=_cert_max(rep),
-                verdict="pass" if min(m1, m2) >= -slack else "fail",
-            )
-        )
+        margin = min(m1, m2)
+        verdict = "pass" if margin >= -slack else "fail"
+        rows.append(_row(f"alpha_{alpha:g}", n, alpha, p, rep, margin_min=margin, verdict=verdict))
 
     return ExperimentReport(
         experiment="comparison",
@@ -409,44 +421,21 @@ def verify_monotonicity(
             raise PreconditionError(f"need 0 < alpha1 <= alpha2, got ({a1:g}, {a2:g})")
 
     unique_alphas = sorted({a for pair in pairs for a in pair})
-    reports = _map_cases(
-        lambda alpha: solve_hvi(
-            mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), p, opts
-        ),
-        unique_alphas,
-        workers,
-    )
-    solved: dict[float, SolveReport] = dict(zip(unique_alphas, reports))
+    solved = dict(zip(unique_alphas, _sweep(mesh, data, unique_alphas, p, opts, workers)))
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
     for a1, a2 in pairs:
         r1, r2 = solved[a1], solved[a2]
-        cert = max(_cert_max(r1), _cert_max(r2))
+        worst = max((r1, r2), key=_cert_max)
         if not (r1.converged and r2.converged):
-            claims.append(
-                ClaimResult(f"certified[{a1:g},{a2:g}]", "fail", -cert, "uncertified solve")
-            )
-            verdict = "fail"
+            claims.append(_uncertified(f"{a1:g},{a2:g}", worst, "uncertified solve"))
             margin = float("nan")
         else:
             margin = float(np.min(r2.solution.values - r1.solution.values))
-            claims.append(
-                _claim(f"ordered[{a1:g}<={a2:g}]", margin, slack, scope=scope)
-            )
-            verdict = claims[-1].verdict
-        rows.append(
-            CaseRow(
-                case_id=f"pair_{a1:g}_{a2:g}",
-                n=n,
-                alpha=a2,
-                potential=p.id,
-                err_v=float("nan"),
-                margin_min=margin,
-                certificate_max=cert,
-                verdict=verdict,
-            )
-        )
+            claims.append(_claim(f"ordered[{a1:g}<={a2:g}]", margin, slack, scope=scope))
+        verdict = claims[-1].verdict
+        rows.append(_row(f"pair_{a1:g}_{a2:g}", n, a2, p, worst, margin_min=margin, verdict=verdict))
 
     return ExperimentReport(
         experiment="monotonicity",
@@ -512,51 +501,27 @@ def verify_alpha_convergence(
         raise PreconditionError("alphas must be positive and increasing")
 
     ops = mesh_operators(mesh)
-    A, M, weights = ops.stiffness, ops.mass, ops.gamma3_weights
+    g3, weights = ops.gamma3, ops.gamma3_weights[ops.gamma3]
     n = _infer_n(mesh)
     b_vec = data.b_nodal(mesh)
 
     u_inf = solve_dirichlet(mesh, data, opts).solution.values
-    norm_inf = v_norm(A, M, u_inf)
+    norm_inf = _v_norm(mesh, u_inf)
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
     errors: list[float] = []
     defects: list[float] = []
-    g3 = ops.gamma3
-    reports = _map_cases(
-        lambda alpha: solve_hvi(
-            mesh, ProblemData(g=data.g, q=data.q, b=data.b, alpha=alpha), p, opts
-        ),
-        alphas,
-        workers,
-    )
-    for alpha, rep in zip(alphas, reports):
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts, workers)):
         if not rep.converged:
-            claims.append(
-                ClaimResult(f"certified[alpha={alpha:g}]", "fail", -_cert_max(rep), "uncertified")
-            )
+            claims.append(_uncertified(f"alpha={alpha:g}", rep, "uncertified"))
         u = rep.solution.values
-        err = v_norm(A, M, u - u_inf)
-        errors.append(err)
-        defect = -float(np.sum(weights[g3] * p.j0(u[g3], b_vec[g3] - u[g3])))
-        defects.append(defect)
-        rows.append(
-            CaseRow(
-                case_id=f"alpha_{alpha:g}",
-                n=n,
-                alpha=alpha,
-                potential=p.id,
-                err_v=err,
-                margin_min=float("nan"),
-                certificate_max=_cert_max(rep),
-                verdict="pass" if rep.converged else "fail",
-            )
-        )
+        errors.append(_v_norm(mesh, u - u_inf))
+        defects.append(-float(np.sum(weights * p.j0(u[g3], b_vec[g3] - u[g3]))))
+        rows.append(_row(f"alpha_{alpha:g}", n, alpha, p, rep, err_v=errors[-1]))
 
     if len(alphas) > 1:
-        mono = min(errors[k] - errors[k + 1] for k in range(len(errors) - 1))
-        claims.append(_claim("error_nonincreasing", mono, slack))
+        claims += _nonincreasing(errors, slack)
         claims.append(
             _claim(
                 "final_error_below_target",
@@ -580,14 +545,8 @@ def verify_alpha_convergence(
         if rate_window is not None:
             rate = _fit_rate(alphas, errors)
             lo, hi = rate_window
-            claims.append(
-                _claim(
-                    "rate_in_window",
-                    min(rate - lo, hi - rate),
-                    0.0,
-                    detail=f"fitted rate {rate:.6f} in [{lo:g}, {hi:g}]",
-                )
-            )
+            detail = f"fitted rate {rate:.6f} in [{lo:g}, {hi:g}]"
+            claims.append(_window("rate_in_window", [rate], lo, hi, detail))
     else:
         claims.append(
             ClaimResult(
@@ -645,15 +604,11 @@ def verify_continuous_dependence(
 
     base = solve_hvi(mesh, data, p, opts)
     u = base.solution.values
-    ops = mesh_operators(mesh)
-    A, M = ops.stiffness, ops.mass
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
     if not base.converged:
-        claims.append(
-            ClaimResult("certified[base]", "fail", -_cert_max(base), "uncertified")
-        )
+        claims.append(_uncertified("base", base, "uncertified"))
     errors: list[float] = []
     deltas: list[float] = []
     reports = _map_cases(
@@ -661,25 +616,10 @@ def verify_continuous_dependence(
     )
     for k, (pdata, rep) in enumerate(zip(perturbed, reports)):
         if not rep.converged:
-            claims.append(
-                ClaimResult(f"certified[case={k}]", "fail", -_cert_max(rep), "uncertified")
-            )
-        err = v_norm(A, M, rep.solution.values - u)
-        delta = _l2_domain(mesh, pdata.g - data.g) + _l2_gamma2(mesh, pdata.q - data.q)
-        errors.append(err)
-        deltas.append(delta)
-        rows.append(
-            CaseRow(
-                case_id=f"perturbation_{k}",
-                n=n,
-                alpha=data.alpha,
-                potential=p.id,
-                err_v=err,
-                margin_min=delta,
-                certificate_max=_cert_max(rep),
-                verdict="pass" if rep.converged else "fail",
-            )
-        )
+            claims.append(_uncertified(f"case={k}", rep, "uncertified"))
+        errors.append(_v_norm(mesh, rep.solution.values - u))
+        deltas.append(_l2_domain(mesh, pdata.g - data.g) + _l2_gamma2(mesh, pdata.q - data.q))
+        rows.append(_row(f"perturbation_{k}", n, data.alpha, p, rep, errors[-1], deltas[-1]))
 
     claims.append(
         _claim(
@@ -690,9 +630,7 @@ def verify_continuous_dependence(
             detail=f"m_a={est.m_a:.6g}, |gamma|={est.gamma_norm:.6g}, m_j={m_j:.6g}",
         )
     )
-    if len(errors) > 1:
-        mono = min(errors[k] - errors[k + 1] for k in range(len(errors) - 1))
-        claims.append(_claim("error_nonincreasing", mono, slack, scope=scope))
+    claims += _nonincreasing(errors, slack, scope=scope)
     if deltas and deltas[0] > 0.0 and errors[0] > 0.0:
         c_hat = errors[0] / deltas[0]
         worst = min(
@@ -714,18 +652,8 @@ def verify_continuous_dependence(
                 ratios.append(ratio_target if errors[k] == 0.0 else float("inf"))
             else:
                 ratios.append(errors[k] / errors[k + 1])
-        lo = ratio_target * (1.0 - ratio_tol)
-        hi = ratio_target * (1.0 + ratio_tol)
-        margin_r = min(min(r - lo, hi - r) for r in ratios)
-        claims.append(
-            _claim(
-                "per_step_contraction",
-                margin_r,
-                0.0,
-                scope=scope,
-                detail="ratios " + ",".join(f"{r:.4f}" for r in ratios),
-            )
-        )
+        lo, hi = ratio_target * (1.0 - ratio_tol), ratio_target * (1.0 + ratio_tol)
+        claims.append(_window("per_step_contraction", ratios, lo, hi, _ratios_text(ratios), scope))
 
     return ExperimentReport(
         experiment="continuous_dependence",
@@ -742,7 +670,8 @@ def verify_continuous_dependence(
 
 
 def refinement_study(
-    n_list: Sequence[int],
+    n_list: Sequence[int] = (2, 4, 8, 16),
+    *,
     alpha: float,
     g=0.0,
     q=0.0,
@@ -792,24 +721,12 @@ def refinement_study(
             diff = u - exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
             e_max = float(np.max(np.abs(diff)))
             e_l2 = _l2_domain(mesh, diff)
-            ops = mesh_operators(mesh)
-            err_v = v_norm(ops.stiffness, ops.mass, diff)
+            err_v = _v_norm(mesh, diff)
         else:
             e_max = e_l2 = err_v = float("nan")
         max_errors.append(e_max)
         l2_errors.append(e_l2)
-        rows.append(
-            CaseRow(
-                case_id=f"n_{n}",
-                n=n,
-                alpha=float(alpha),
-                potential=p.id if p is not None else "",
-                err_v=err_v,
-                margin_min=e_max,
-                certificate_max=_cert_max(rep),
-                verdict="pass" if rep.converged else "fail",
-            )
-        )
+        rows.append(_row(f"n_{n}", n, alpha, p, rep, err_v, e_max))
 
     if exact is not None and expect_exact:
         worst = max(max_errors)
@@ -819,15 +736,7 @@ def refinement_study(
     elif exact is not None and len(n_list) > 1:
         ratios = [l2_errors[k] / l2_errors[k + 1] for k in range(len(l2_errors) - 1)]
         lo, hi = 4.0 * (1.0 - ratio_tol), 4.0 * (1.0 + ratio_tol)
-        margin = min(min(r - lo, hi - r) for r in ratios)
-        claims.append(
-            _claim(
-                "second_order_l2",
-                margin,
-                0.0,
-                detail="ratios " + ",".join(f"{r:.4f}" for r in ratios),
-            )
-        )
+        claims.append(_window("second_order_l2", ratios, lo, hi, _ratios_text(ratios)))
     else:
         claims.append(ClaimResult("report_only", "pass", 0.0, "no rate claim"))
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hviheat.assembly import ProblemData
 from hviheat.cli import (
+    EXPERIMENTS,
     ConfigError,
     describe_potential,
     main,
@@ -12,6 +14,15 @@ from hviheat.cli import (
 )
 from hviheat.expressions import ExpressionError, compile_expression
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh, save_mesh
+from hviheat.potentials import make_potential
+from hviheat.verification import (
+    refinement_study,
+    verify_alpha_convergence,
+    verify_comparison,
+    verify_continuous_dependence,
+    verify_linear_theorem,
+    verify_monotonicity,
+)
 
 MINIMAL = """
 command = solve
@@ -73,6 +84,22 @@ class TestParseConfig:
             ("problem.alphas = 1,nan", "problem.alphas must be comma-separated finite numbers"),
             ("experiment.rel_target = -inf", "experiment.rel_target must be a finite number"),
             ("potential.params.beta = nan", "potential.params.beta must be a finite number"),
+            (
+                "experiment.alpha_pairs = nan:10",
+                "experiment.alpha_pairs must be finite pairs a1:a2 with 0 < a1 <= a2, got 'nan:10'",
+            ),
+            (
+                "experiment.alpha_pairs = 1:10,10:1",
+                "experiment.alpha_pairs must be finite pairs a1:a2 with 0 < a1 <= a2",
+            ),
+            ("experiment.alpha_pairs = 0:1", "experiment.alpha_pairs must be finite pairs"),
+            ("experiment.alpha_pairs = 1:inf", "experiment.alpha_pairs must be finite pairs"),
+            (
+                "experiment.n_list = 0,4",
+                "experiment.n_list must be increasing integers of at least 1, got '0,4'",
+            ),
+            ("experiment.n_list = 4,4", "experiment.n_list must be increasing integers"),
+            ("experiment.n_list = 8,4", "experiment.n_list must be increasing integers"),
         ],
     )
     def test_non_finite_or_meaningless_number_exits_2_naming_the_line(
@@ -113,16 +140,15 @@ class TestParseConfig:
     def test_solver_options_and_params_forwarded(self):
         text = (
             MINIMAL
-            + "solver.max_iters = 77\nsolver.seed = 5\npotential.params.k1 = 2\n"
+            + "solver.max_iters = 77\npotential.params.k1 = 2\n"
             + "potential.id2 = oops\n"
         )
         with pytest.raises(ConfigError, match="potential.id2"):
             parse_config(text)
         cfg = parse_config(
-            MINIMAL + "solver.max_iters = 77\nsolver.seed = 5\npotential.params.k1 = 2\n"
+            MINIMAL + "solver.max_iters = 77\npotential.params.k1 = 2\n"
         )
         assert cfg.solver.max_iters == 77
-        assert cfg.solver.seed == 5
         assert cfg.potential_params == {"k1": 2.0}
 
     def test_comments_ignored(self):
@@ -236,6 +262,21 @@ class TestRun:
             tmp_path / "b" / "comparison.csv"
         ).read_bytes()
 
+    def test_uncertified_linear_solve_exits_1(self, tmp_path):
+        # the large load leaves an interior residual above tol_interior = 1e-9
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "command = solve\nmesh.n = 64\nproblem.kind = robin\nproblem.alpha = 1\n"
+            "problem.g = -1e7\n"
+        )
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+        cert = dict(
+            line.split(",", 1)
+            for line in (tmp_path / "out" / "certificate.csv").read_text().splitlines()[1:]
+        )
+        assert float(cert["interior_residual_max"]) > 1e-9
+        assert cert["converged"] == "false"
+
     def test_precondition_failure_exits_1(self, tmp_path):
         cfg = parse_config(
             "command = experiment\nexperiment.id = comparison\nmesh.n = 4\n"
@@ -251,6 +292,43 @@ class TestRun:
         payload = json.loads((tmp_path / "error.json").read_text())
         assert "exp_quadratic" in payload["message"]
         assert "abs" in payload["message"]
+
+
+def cli_perturbations(m, d):
+    """The CLI's default continuous-dependence perturbations: 5 levels of its bump."""
+    x, y = m.vertices.T
+    bump = x * (1 - x) * y * (1 - y)
+    return [ProblemData(g=d.g + 2.0**-k * bump, q=d.q, b=d.b, alpha=d.alpha) for k in range(5)]
+
+
+# Each experiment called through the library with only its required
+# arguments, on the data and potential of ``DEFAULTS_CONFIG``.
+LIBRARY_CALLS = {
+    "linear_theorem": lambda m, d, p: verify_linear_theorem(m, d),
+    "comparison": lambda m, d, p: verify_comparison(m, d, p),
+    "monotonicity": lambda m, d, p: verify_monotonicity(m, d, p),
+    "alpha_convergence": lambda m, d, p: verify_alpha_convergence(m, d, p),
+    "continuous_dependence": lambda m, d, p: verify_continuous_dependence(
+        m, d, p, cli_perturbations(m, d)
+    ),
+    "refinement": lambda m, d, p: refinement_study(alpha=2.0, g=-1.0, q=0.5, b=1.0, p=p),
+}
+DEFAULTS_CONFIG = (
+    "command = experiment\nmesh.n = 6\nproblem.g = -1\nproblem.q = 0.5\nproblem.b = 1\n"
+    "problem.alpha = 2\npotential.id = truncated_quadratic\n"
+)
+
+
+class TestExperimentDefaults:
+    @pytest.mark.parametrize("exp", EXPERIMENTS)
+    def test_cli_and_library_share_one_set_of_defaults(self, tmp_path, exp):
+        status = run(parse_config(DEFAULTS_CONFIG + f"experiment.id = {exp}\n"), tmp_path)
+        assert status in (0, 1), (tmp_path / "error.json").read_text()
+        m = generate_unit_square_mesh(6)
+        data = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=2.0)
+        rep = LIBRARY_CALLS[exp](m, data, make_potential("truncated_quadratic", b=1.0))
+        assert (tmp_path / f"{exp}.csv").read_text() == rep.to_csv()
+        assert (tmp_path / "verdicts.txt").read_text() == rep.summary()
 
 
 class TestDescribePotential:

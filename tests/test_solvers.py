@@ -207,18 +207,6 @@ class TestHvi:
             assert rep.converged
             assert np.max(np.abs(rep.solution.values - baseline)) <= 1e-6
 
-    def test_seeded_random_initial_iterates(self):
-        m = generate_unit_square_mesh(4)
-        d = ProblemData.make(m, g=-0.5, q=0.2, b=1.0, alpha=0.3)
-        p = ExpQuadraticPotential(b=1.0)
-        baseline = solve_hvi(m, d, p).solution.values
-        for seed in (1, 2):
-            rep = solve_hvi(m, d, p, SolverOptions(seed=seed), initial="random")
-            assert rep.converged
-            assert np.max(np.abs(rep.solution.values - baseline)) <= 1e-6
-        with pytest.raises(ValueError, match="initial iterate"):
-            solve_hvi(m, d, p, initial="warmish")
-
     @pytest.mark.parametrize("length", [24, 26])
     def test_initial_field_of_wrong_length_rejected(self, length):
         m = generate_unit_square_mesh(4)

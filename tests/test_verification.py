@@ -7,7 +7,7 @@ import hviheat.assembly
 import hviheat.hvi_solver
 import hviheat.verification
 from hviheat.assembly import ProblemData, mesh_operators
-from hviheat.hvi_solver import solve_dirichlet, solve_robin
+from hviheat.hvi_solver import SolverOptions, solve_dirichlet, solve_robin
 from hviheat.mesh import generate_unit_square_mesh
 from hviheat.potentials import (
     AbsPotential,
@@ -60,6 +60,14 @@ class TestLinearTheorem:
         assert rep.passed
         assert claim(rep, "error_nonincreasing").verdict == "pass"
         assert claim(rep, "final_error_below_target").verdict == "pass"
+
+    def test_uncertified_solve_fails_its_row(self):
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=1.0, b=1.0, alpha=1.0)
+        rep = verify_linear_theorem(m, d, alphas=(1.0, 10.0), opts=SolverOptions(tol_interior=1e-30))
+        assert all(row.certificate_max > 1e-30 for row in rep.rows)
+        assert [row.verdict for row in rep.rows] == ["fail", "fail"]
+        assert not rep.passed
 
     def test_rejects_sign_violating_data(self):
         m = mesh8()
@@ -126,6 +134,13 @@ class TestComparison:
 
 
 class TestMonotonicity:
+    @pytest.mark.parametrize("pair", [(10.0, 1.0), (0.0, 1.0)])
+    def test_rejects_unordered_or_nonpositive_pair(self, pair):
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        with pytest.raises(PreconditionError, match="0 < alpha1 <= alpha2"):
+            verify_monotonicity(m, d, QuadraticPotential(b=1.0), alpha_pairs=(pair,))
+
     def test_quadratic_pairs_pass(self):
         m = mesh8()
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
