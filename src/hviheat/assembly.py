@@ -24,7 +24,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import BoundaryTag, Mesh, validate_mesh
 
@@ -232,7 +231,8 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Stiffness matrix of the Dirichlet form, by exact P1 gradient quadrature.
 
     The matrix is symmetric and annihilates constants; a degenerate triangle
-    aborts the assembly with its index.
+    aborts the assembly with its index.  Entries that cancel exactly (such as
+    the diagonal edges of a right-angled grid) are not stored.
     """
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     # Edge opposite to local vertex i: coefficients of the P1 gradient.
@@ -253,7 +253,9 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
     nv = mesh.num_vertices
-    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    stiffness = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(nv, nv)).tocsr()
+    stiffness.eliminate_zeros()
+    return stiffness
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -324,13 +326,13 @@ class MeshOperators:
     bundle also holds the stiffness and mass matrices, the G3 lumped
     weights and consistent mass, the ``V0`` dof map, the index sets
     ``bulk`` (vertices on neither G1 nor G3) and ``gamma3``, and the
-    stiffness block ``bulk_block`` of the bulk rows and columns, which does
-    not depend on the data or the exchange coefficient.  Its arrays are
-    read-only.  Members that only some solvers need, such as a
-    factorization, are built by ``once`` on first use.  Solvers read the
-    bundle and the data's ``assemble_load``; nothing else holds per-mesh
-    operators.  Get a bundle from ``mesh_operators``; it lives as long as
-    its mesh.
+    stiffness blocks ``bulk_block`` (bulk rows and columns) and ``coupling``
+    (bulk rows, G3 columns), which do not depend on the data or the
+    exchange coefficient.  Its arrays are read-only.  Members that only
+    some solvers need, such as a factorization, are built by ``once`` on
+    first use.  Solvers read the bundle and the data's ``assemble_load``;
+    nothing else holds per-mesh operators.  Get a bundle from
+    ``mesh_operators``; it lives as long as its mesh.
     """
 
     def __init__(self, mesh: Mesh):
@@ -346,11 +348,13 @@ class MeshOperators:
         classes = self.dof_v0.vertex_class
         self.bulk = np.nonzero(classes == VertexClass.FREE)[0]
         self.gamma3 = np.nonzero(classes == VertexClass.GAMMA3)[0]
-        self.bulk_block = self.stiffness[self.bulk][:, self.bulk]
+        bulk_rows = self.stiffness[self.bulk]
+        self.bulk_block = bulk_rows[:, self.bulk]
+        self.coupling = bulk_rows[:, self.gamma3]
         _freeze(
             self.stiffness, self.mass, self.gamma3_weights, self.gamma3_mass,
             self.dof_v0.vertex_class, self.dof_v0.fixed, self.bulk, self.gamma3,
-            self.bulk_block,
+            self.bulk_block, self.coupling,
         )
 
     def once(self, key: str, build: Callable[[], object]):
@@ -430,17 +434,19 @@ def estimate_coercivity(
 
     ``m_a`` is the smallest generalized eigenvalue of (A, A+M) over the V0
     degrees of freedom; ``gamma_norm**2`` the largest of (M_G3, A).  Both are
-    obtained by inverse/power iteration with the stiffness factorized once,
-    stopping when the Rayleigh quotient is stable to ``tol`` relative.
+    obtained by inverse/power iteration, stopping when the Rayleigh quotient
+    is stable to ``tol`` relative.  The inverse is the solvers' shared
+    factorization of the V0 stiffness, so the iteration runs in that
+    factor's vertex order.
     """
-    ops = mesh_operators(mesh)
-    free = ops.dof_v0.free_indices
-    A = ops.stiffness.tocsc()[free][:, free]
-    M = ops.mass.tocsr()[free][:, free]
-    Mg3 = ops.gamma3_mass.tocsr()[free][:, free]
+    from .hvi_solver import _g3_last_factor  # the solvers own the shared factors
 
-    lu = spla.splu(A.tocsc())
-    start = np.ones(len(free))
+    ops = mesh_operators(mesh)
+    order, lu = _g3_last_factor(ops)
+    A = ops.stiffness[order][:, order]
+    M = ops.mass[order][:, order]
+    Mg3 = ops.gamma3_mass[order][:, order]
+    start = np.ones(len(order))
 
     def largest(apply_b, what):
         v = start / np.linalg.norm(start)

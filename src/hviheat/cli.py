@@ -227,6 +227,9 @@ def parse_config(text: str) -> RunConfig:
             out = tuple(float(part) for part in value.split(",") if part.strip())
         except ValueError:
             out = (np.nan,)
+        if not out:
+            errors.append(f"line {lineno}: {key} is empty; list at least one number")
+            return None
         if not np.all(np.isfinite(out)):
             errors.append(f"line {lineno}: {key} must be comma-separated finite numbers")
             return None
@@ -347,6 +350,15 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("potential.id is required for the multivalued problem kinds")
         if cfg.command == "experiment" and cfg.experiment_id is None:
             errors.append("experiment.id is required for command=experiment")
+        if cfg.command == "experiment" and cfg.experiment_id == "refinement" and kind_item:
+            kind, lineno = kind_item
+            if kind == "robin_lumped":
+                errors.append(
+                    f"line {lineno}: the refinement study takes problem.kind dirichlet, "
+                    f"robin, hvi or vi, not {kind}"
+                )
+            elif kind in ("hvi", "vi") and cfg.potential_id is None:
+                errors.append(f"line {lineno}: problem.kind = {kind} needs a potential.id")
         if cfg.command == "check-potential" and cfg.potential_id is None:
             errors.append("potential.id is required for command=check-potential")
 

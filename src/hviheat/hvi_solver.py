@@ -120,19 +120,19 @@ class SolveReport:
 
 
 class _SharedFactor:
-    """A factorization shared by every solve on one mesh.
+    """A factorization ``lu`` shared by every solve on one mesh.
 
     SciPy does not promise that ``SuperLU.solve`` may run concurrently on
     one factor, so back-solves take the owning bundle's lock.
     """
 
     def __init__(self, lu, lock):
-        self._lu = lu
+        self.lu = lu
         self._lock = lock
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         with self._lock:
-            return self._lu.solve(rhs)
+            return self.lu.solve(rhs)
 
 
 def _bulk_factor(ops: MeshOperators) -> _SharedFactor:
@@ -142,41 +142,74 @@ def _bulk_factor(ops: MeshOperators) -> _SharedFactor:
     )
 
 
-def _trace_reduction(ops: MeshOperators) -> tuple[np.ndarray, sp.csr_matrix, np.ndarray]:
-    """``(A_bg, A_gb, S)``: the bulk/G3 coupling blocks and the Schur complement.
+def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, _SharedFactor]:
+    """``(order, factor)``: the V0 free stiffness factored with G3 last.
 
-    ``S = A_gg - A_gb A_bb^-1 A_bg`` is the stiffness reduced to the G3
-    trace; it is dense, one column per G3 node.
+    ``order`` lists the free vertices: the bulk in the fill-reducing column
+    order of the bulk factor, then G3.  The stiffness is factored in that
+    order, without column reordering or pivoting, so the factor's trailing
+    block factors the Schur complement.  A factor that moved G3 out of its
+    trailing block raises ``LinearSolveError``.
     """
 
     def build():
-        A, bulk, g3 = ops.stiffness, ops.bulk, ops.gamma3
-        A_bg = A[bulk][:, g3].toarray()
-        A_gb = A[g3][:, bulk]
-        schur = A[g3][:, g3].toarray() - A_gb @ _bulk_factor(ops).solve(A_bg)
-        _freeze(A_bg, A_gb, schur)
-        return A_bg, A_gb, schur
+        nb = len(ops.bulk)
+        order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).lu.perm_c)], ops.gamma3])
+        options = {"SymmetricMode": True}
+        K = sp.csc_matrix(ops.stiffness[order][:, order])
+        lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=options)
+        trailing = np.arange(nb, len(order))
+        if not all(np.array_equal(perm[nb:], trailing) for perm in (lu.perm_r, lu.perm_c)):
+            message = "the G3-last factorization moved G3 out of its trailing block"
+            raise LinearSolveError(message, ())
+        _freeze(order)
+        return order, _SharedFactor(lu, ops.lock)
+
+    return ops.once("g3_last_factor", build)
+
+
+def _trace_reduction(ops: MeshOperators) -> np.ndarray:
+    """The Schur complement ``S = A_gg - A_gb A_bb^-1 A_bg`` of the G3 trace.
+
+    ``S`` is the stiffness reduced to the trace; it is dense, the product of
+    the trailing blocks of the G3-last factor's ``L`` and ``U``.
+    """
+
+    def build():
+        nb, lu = len(ops.bulk), _g3_last_factor(ops)[1].lu
+        schur = lu.L[nb:, nb:].toarray() @ lu.U[nb:, nb:].toarray()
+        _freeze(schur)
+        return schur
 
     return ops.once("trace_reduction", build)
 
 
-def _linear_solve(A: sp.spmatrix, rhs: np.ndarray, lu) -> tuple[np.ndarray, float]:
-    """Solve ``A x = rhs`` with the factorization ``lu`` of ``A``.
+def _reduced_load(ops: MeshOperators, f: np.ndarray) -> np.ndarray:
+    """``f_g - A_gb A_bb^-1 f_b``: the load ``f`` as the G3 trace sees it."""
+    return f[ops.gamma3] - ops.coupling.T @ _bulk_factor(ops).solve(f[ops.bulk])
 
-    The solution is refined once when the residual asks; a relative residual
-    above 1e-10 after that raises ``LinearSolveError``.
+
+def _recover(ops: MeshOperators, f: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, float]:
+    """The field with G3 values ``trace``, zero on G1, that solves the bulk rows of ``A u = f``.
+
+    The bulk solve is refined once when its residual asks; a relative
+    residual above 1e-10 after that raises ``LinearSolveError``.  Returns
+    the field and that relative residual.
     """
+    A, lu = ops.bulk_block, _bulk_factor(ops)
+    rhs = f[ops.bulk] - ops.coupling @ trace
     rhs_norm = float(np.linalg.norm(rhs))
     x = lu.solve(rhs)
     history = [float(np.linalg.norm(rhs - A @ x))]
     if rhs_norm > 0.0 and history[-1] > 1e-13 * rhs_norm:
         x = x + lu.solve(rhs - A @ x)
         history.append(float(np.linalg.norm(rhs - A @ x)))
-
     relres = history[-1] / rhs_norm if rhs_norm > 0.0 else history[-1]
     if relres > 1e-10:
         raise LinearSolveError(f"relative residual {relres:.3e} exceeds 1e-10", tuple(history))
-    return x, relres
+    u = np.zeros(ops.stiffness.shape[0])
+    u[ops.gamma3], u[ops.bulk] = trace, x
+    return u, relres
 
 
 def _report(
@@ -229,15 +262,8 @@ def solve_dirichlet(
     """
     ops = mesh_operators(mesh)
     f = assemble_load(mesh, data)
-    A, bulk, g3 = ops.stiffness, ops.bulk, ops.gamma3
-    u = np.zeros(mesh.num_vertices)
-    u[g3] = data.b_nodal(mesh)[g3]
-
-    # the free set is the bulk set (u is zero on G1), so the bulk factor solves it
-    rhs = f[bulk] - A[bulk][:, g3] @ u[g3]
-    u[bulk], relres = _linear_solve(ops.bulk_block, rhs, _bulk_factor(ops))
-
-    residual = float(np.max(np.abs((A @ u - f)[bulk]))) if len(bulk) else 0.0
+    u, relres = _recover(ops, f, data.b_nodal(mesh)[ops.gamma3])
+    residual = float(np.max(np.abs((ops.stiffness @ u - f)[ops.bulk]), initial=0.0))
     return _report(ops, u, relres, Certificate(residual, 0.0), opts)
 
 
@@ -251,28 +277,27 @@ def solve_robin(
 
     The exchange term uses the consistent edge mass by default, which keeps
     the benchmark with an affine solution exact; ``boundary_mass="lumped"``
-    switches to the nodal weights used by the multivalued solver.  The
-    matrix depends on ``alpha``, so each solve factors its own.
+    switches to the nodal weights used by the multivalued solver.  The solve
+    runs on the G3 trace, ``(S + alpha M_gg) u_g = f_red + alpha (M b)_g``,
+    with the mesh's shared Schur complement ``S``, so no matrix is factored
+    per ``alpha``; one bulk back-solve then recovers the field.  The
+    certificate is the free-row residual of the full system.
     """
     if boundary_mass not in ("consistent", "lumped"):
         raise ValueError(f"unknown boundary mass {boundary_mass!r}")
     ops = mesh_operators(mesh)
-    f = assemble_load(mesh, data)
-    alpha = data.alpha
-    b_vec = data.b_nodal(mesh)
+    alpha, g3 = data.alpha, ops.gamma3
     if boundary_mass == "consistent":
-        K = ops.stiffness + alpha * ops.gamma3_mass
-        rhs_full = f + alpha * (ops.gamma3_mass @ b_vec)
+        exchange = ops.gamma3_mass
     else:
-        K = ops.stiffness + alpha * sp.diags(ops.gamma3_weights)
-        rhs_full = f + alpha * ops.gamma3_weights * b_vec
+        exchange = sp.diags(ops.gamma3_weights).tocsr()
+    rhs = assemble_load(mesh, data) + alpha * (exchange @ data.b_nodal(mesh))
+
+    reduced = _trace_reduction(ops) + alpha * exchange[g3][:, g3].toarray()
+    u, relres = _recover(ops, rhs, np.linalg.solve(reduced, _reduced_load(ops, rhs)))
 
     free = ops.dof_v0.free_indices
-    K_free = sp.csr_matrix(K)[free][:, free]
-    u = np.zeros(mesh.num_vertices)
-    u[free], relres = _linear_solve(K_free, rhs_full[free], spla.splu(sp.csc_matrix(K_free)))
-
-    residual = float(np.max(np.abs((K @ u - rhs_full)[free])))
+    residual = float(np.max(np.abs((ops.stiffness @ u + alpha * (exchange @ u) - rhs)[free])))
     return _report(ops, u, relres, Certificate(residual, 0.0), opts)
 
 
@@ -285,8 +310,8 @@ def solve_hvi(
 ) -> SolveReport:
     """Multivalued exchange law by descent on the energy of the G3 trace.
 
-    The bulk unknowns are eliminated through the mesh's shared ``A_bb``
-    factor, leaving the energy ``1/2 u'Su - f'u + alpha sum m_k j(u_k)`` of
+    The bulk unknowns are eliminated through the mesh's shared factors,
+    leaving the energy ``1/2 u'Su - f'u + alpha sum m_k j(u_k)`` of
     the trace ``u`` with the dense Schur complement ``S``.  Each sweep of
     cyclic coordinate descent sets every node to ``p.prox``, the global
     minimizer of its 1D energy, so nonconvex ``j`` is handled like convex
@@ -304,15 +329,14 @@ def solve_hvi(
     probing), or None for the lumped linear-exchange solution.
     """
     ops = mesh_operators(mesh)
-    g3, bulk = ops.gamma3, ops.bulk
+    g3 = ops.gamma3
     b_g3 = data.b_nodal(mesh)[g3]
     if np.any(b_g3 != p.b):
         raise ValueError(f"potential anchored at b={p.b:g} but the problem datum on G3 differs")
     f = assemble_load(mesh, data)
     am = data.alpha * ops.gamma3_weights[g3]
-    lu = _bulk_factor(ops)
-    A_bg, A_gb, S = _trace_reduction(ops)
-    f_red = f[g3] - A_gb @ lu.solve(f[bulk])
+    S = _trace_reduction(ops)
+    f_red = _reduced_load(ops, f)
 
     nv = mesh.num_vertices
     if initial is None:
@@ -384,8 +408,6 @@ def solve_hvi(
             if not np.array_equal(previous, keys):
                 break
 
-    full = np.zeros(nv)
-    full[g3] = u
-    full[bulk], relres = _linear_solve(ops.bulk_block, f[bulk] - A_bg @ u, lu)
+    full, relres = _recover(ops, f, u)
     cert = _certificate(ops, f, data.alpha, p, full)
     return _report(ops, full, relres, cert, opts, iterations)

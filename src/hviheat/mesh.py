@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 
 import numpy as np
 
@@ -178,42 +179,21 @@ def generate_unit_square_mesh(n: int) -> Mesh:
     xs, ys = np.meshgrid(side, side)  # row-major: y varies along axis 0
     vertices = np.column_stack([xs.ravel(), ys.ravel()])
 
-    def vid(i: int, j: int) -> int:
-        return j * (n + 1) + i
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # vertex (i/n, j/n) is vid[j, i]
+    v00, v10 = vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel()
+    v01, v11 = vid[1:, :-1].ravel(), vid[1:, 1:].ravel()
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v01 = vid(i, j + 1)
-            v11 = vid(i + 1, j + 1)
-            triangles[k] = (v00, v10, v11)
-            triangles[k + 1] = (v00, v11, v01)
-            k += 2
-
-    edges = []
-    tags: list[BoundaryTag] = []
-    for i in range(n):  # bottom y=0 and top y=1 carry the flux tag
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-        tags.append(BoundaryTag.GAMMA2)
-    for i in range(n):
-        edges.append((vid(i, n), vid(i + 1, n)))
-        tags.append(BoundaryTag.GAMMA2)
-    for j in range(n):  # left x=0: Dirichlet
-        edges.append((vid(0, j), vid(0, j + 1)))
-        tags.append(BoundaryTag.GAMMA1)
-    for j in range(n):  # right x=1: exchange boundary
-        edges.append((vid(n, j), vid(n, j + 1)))
-        tags.append(BoundaryTag.GAMMA3)
-
-    return Mesh(
-        vertices=vertices,
-        triangles=np.asarray(triangles),
-        boundary_edges=np.asarray(edges, dtype=np.int64),
-        boundary_tags=tuple(tags),
+    edges = np.concatenate(
+        [
+            np.column_stack([vid[0, :-1], vid[0, 1:]]),  # bottom y=0: flux
+            np.column_stack([vid[n, :-1], vid[n, 1:]]),  # top y=1: flux
+            np.column_stack([vid[:-1, 0], vid[1:, 0]]),  # left x=0: Dirichlet
+            np.column_stack([vid[:-1, n], vid[1:, n]]),  # right x=1: exchange boundary
+        ]
     )
+    tags = [BoundaryTag.GAMMA2] * (2 * n) + [BoundaryTag.GAMMA1] * n + [BoundaryTag.GAMMA3] * n
+    return Mesh(vertices, triangles, edges, tuple(tags))
 
 
 def _edge_keys(pairs: np.ndarray, nv: int) -> np.ndarray:
@@ -317,24 +297,80 @@ def save_mesh(mesh: Mesh) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_mesh(text: str) -> Mesh:
-    """Parse the mesh text format; raises MeshFormatError with a line number."""
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            rows.append((lineno, content.split()))
+# Per data section: fields per row, the row's shape, and what a row holds.
+_ROWS = {
+    "vertices": (2, "two coordinates 'x y'", "vertex coordinates 'x y'"),
+    "triangles": (3, "three vertex indices 'i j k'", "triangle indices 'i j k'"),
+    "boundary": (3, "boundary edge 'i j TAG'", "boundary edge 'i j TAG'"),
+}
 
+
+def _check_row(name: str, fields: list[str], lineno: int, nv: int) -> None:
+    """Raise the error of a bad row of section ``name``; a good row passes."""
+    width, shape, _ = _ROWS[name]
+    if len(fields) != width:
+        raise MeshFormatError(f"expected {shape}", lineno)
+    if name == "vertices":
+        try:
+            float(fields[0]), float(fields[1])
+        except ValueError:
+            raise MeshFormatError(f"bad coordinate in {fields!r}", lineno) from None
+        return
+    try:
+        indices = [int(f) for f in fields[: 3 if name == "triangles" else 2]]
+    except ValueError:
+        raise MeshFormatError(f"bad vertex index in {fields!r}", lineno) from None
+    owner = "triangle" if name == "triangles" else "boundary edge"
+    for v in indices:
+        if v < 0 or v >= nv:
+            raise MeshFormatError(
+                f"{owner} references vertex index {v} out of range [0, {nv})", lineno
+            )
+    if name == "boundary" and fields[2] not in _TAG_BY_NAME:
+        raise MeshFormatError(
+            f"unknown boundary tag {fields[2]!r}, expected one of G1, G2, G3", lineno
+        )
+
+
+def _convert(name: str, fields: list[str], nv: int):
+    """The fields of section ``name``'s rows, flat, as its arrays.
+
+    numpy converts them with the semantics of Python's ``float`` and
+    ``int``.  A field that does not convert, or an index out of range,
+    raises ValueError, OverflowError or KeyError.
+    """
+    if name == "vertices":
+        return np.array(fields, dtype=float).reshape(-1, 2)
+    if name == "boundary":
+        tags = tuple(_TAG_BY_NAME[tag] for tag in fields[2::3])
+        del fields[2::3]
+    indices = np.array(fields, dtype=np.int64).reshape(-1, 3 if name == "triangles" else 2)
+    if indices.size and (indices.min() < 0 or indices.max() >= nv):
+        raise ValueError("vertex index out of range")
+    return indices if name == "triangles" else (indices, tags)
+
+
+def load_mesh(text: str) -> Mesh:
+    """Parse the mesh text format; raises MeshFormatError with a line number.
+
+    The rows of each section are converted together; only when that fails
+    are they checked one by one, so the error names the first bad line.
+    """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    kept = np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))
+    rows = list(compress(lines, kept))
+    linenos = (np.flatnonzero(kept) + 1).tolist()
     pos = 0
 
     def next_row(what: str) -> tuple[int, list[str]]:
         nonlocal pos
         if pos >= len(rows):
-            last = rows[-1][0] if rows else None
+            last = linenos[-1] if rows else None
             raise MeshFormatError(f"unexpected end of file, expected {what}", last)
-        row = rows[pos]
         pos += 1
-        return row
+        return linenos[pos - 1], rows[pos - 1].split()
 
     lineno, fields = next_row("header 'meshfmt 1'")
     if fields != ["meshfmt", "1"]:
@@ -342,7 +378,7 @@ def load_mesh(text: str) -> Mesh:
 
     def section(name: str) -> int:
         if name == "boundary" and pos >= len(rows):
-            raise MeshFormatError("boundary tags required", rows[-1][0] if rows else None)
+            raise MeshFormatError("boundary tags required", linenos[-1] if rows else None)
         lineno, fields = next_row(f"section '{name} N'")
         if len(fields) != 2 or fields[0] != name:
             if name == "boundary":
@@ -356,61 +392,37 @@ def load_mesh(text: str) -> Mesh:
             raise MeshFormatError(f"negative {name} count", lineno)
         return count
 
-    nv = section("vertices")
-    vertices = np.empty((nv, 2), dtype=float)
-    for r in range(nv):
-        lineno, fields = next_row("vertex coordinates 'x y'")
-        if len(fields) != 2:
-            raise MeshFormatError("expected two coordinates 'x y'", lineno)
+    def rows_of(name: str, nv: int):
+        """The converted rows of section ``name``, which starts at the next row."""
+        nonlocal pos
+        count = section(name)
+        width, _, what = _ROWS[name]
+        part = rows[pos : pos + count]
+        fields = " | ".join(part).split()  # a "|" closes every row but the last
+        ends = fields[width :: width + 1]
         try:
-            vertices[r] = (float(fields[0]), float(fields[1]))
-        except ValueError:
-            raise MeshFormatError(f"bad coordinate in {fields!r}", lineno) from None
+            # every end must be a row separator: a "|" inside a row fails the conversion
+            if len(part) < count or len(fields) != count * width + len(ends) or (
+                ends.count("|") != len(ends)
+            ):
+                raise ValueError("rows missing or of the wrong width")
+            del fields[width :: width + 1]
+            out = _convert(name, fields, nv)
+        except (ValueError, OverflowError, KeyError):
+            for _ in range(count):
+                lineno, fields = next_row(what)
+                _check_row(name, fields, lineno, nv)
+            return _convert(name, [f for row in part for f in row.split()], nv)
+        pos += count
+        return out
 
-    nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    for r in range(nt):
-        lineno, fields = next_row("triangle indices 'i j k'")
-        if len(fields) != 3:
-            raise MeshFormatError("expected three vertex indices 'i j k'", lineno)
-        try:
-            tri = [int(f) for f in fields]
-        except ValueError:
-            raise MeshFormatError(f"bad vertex index in {fields!r}", lineno) from None
-        for v in tri:
-            if v < 0 or v >= nv:
-                raise MeshFormatError(
-                    f"triangle references vertex index {v} out of range [0, {nv})", lineno
-                )
-        triangles[r] = tri
-
-    ne = section("boundary")
-    edges = np.empty((ne, 2), dtype=np.int64)
-    tags: list[BoundaryTag] = []
-    for r in range(ne):
-        lineno, fields = next_row("boundary edge 'i j TAG'")
-        if len(fields) != 3:
-            raise MeshFormatError("expected boundary edge 'i j TAG'", lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise MeshFormatError(f"bad vertex index in {fields!r}", lineno) from None
-        for v in (a, b):
-            if v < 0 or v >= nv:
-                raise MeshFormatError(
-                    f"boundary edge references vertex index {v} out of range [0, {nv})",
-                    lineno,
-                )
-        tag = _TAG_BY_NAME.get(fields[2])
-        if tag is None:
-            raise MeshFormatError(
-                f"unknown boundary tag {fields[2]!r}, expected one of G1, G2, G3", lineno
-            )
-        edges[r] = (a, b)
-        tags.append(tag)
+    vertices = rows_of("vertices", 0)
+    nv = len(vertices)
+    triangles = rows_of("triangles", nv)
+    edges, tags = rows_of("boundary", nv)
 
     interface: list[int] = []
-    if pos < len(rows) and rows[pos][1][0] == "interface":
+    if pos < len(rows) and rows[pos].split()[0] == "interface":
         for _ in range(section("interface")):
             lineno, fields = next_row("interface vertex index")
             if len(fields) != 1 or not fields[0].isdecimal() or int(fields[0]) >= nv:
@@ -420,6 +432,6 @@ def load_mesh(text: str) -> Mesh:
             interface.append(int(fields[0]))
 
     if pos != len(rows):
-        raise MeshFormatError("trailing content after the last section", rows[pos][0])
+        raise MeshFormatError("trailing content after the last section", linenos[pos])
 
-    return Mesh(vertices, triangles, edges, tuple(tags), interface_vertices=tuple(interface))
+    return Mesh(vertices, triangles, edges, tags, interface_vertices=tuple(interface))

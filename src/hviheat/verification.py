@@ -597,13 +597,13 @@ def verify_continuous_dependence(
     if any(pdata.alpha != data.alpha for pdata in perturbed):
         raise PreconditionError("perturbed data must keep the same exchange coefficient")
     m_j = p.m_j if p.m_j is not None else estimate_relaxed_monotonicity(p)
+    base = solve_hvi(mesh, data, p, opts)
+    u = base.solution.values
+    # after the solve, which built the mesh's shared factors that it reuses
     est = estimate_coercivity(mesh)
     margin = est.smallness_margin(data.alpha, m_j)
     scope = margin <= 0.0
     n = _infer_n(mesh)
-
-    base = solve_hvi(mesh, data, p, opts)
-    u = base.solution.values
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
@@ -702,28 +702,26 @@ def refinement_study(
         raise PreconditionError(f"unknown problem {problem!r}")
 
     def solve_case(n: int):
+        """The case's report and errors; its mesh, with its factors, is freed on return."""
         mesh = generate_unit_square_mesh(n)
         data = ProblemData.make(mesh, g=g, q=q, b=b, alpha=alpha)
         if problem == "dirichlet":
-            return mesh, solve_dirichlet(mesh, data, opts)
-        if problem == "robin":
-            return mesh, solve_robin(mesh, data, opts)
-        return mesh, solve_hvi(mesh, data, p, opts)
+            rep = solve_dirichlet(mesh, data, opts)
+        elif problem == "robin":
+            rep = solve_robin(mesh, data, opts)
+        else:
+            rep = solve_hvi(mesh, data, p, opts)
+        if exact is None:
+            return rep, float("nan"), float("nan"), float("nan")
+        diff = rep.solution.values - exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
+        return rep, float(np.max(np.abs(diff))), _l2_domain(mesh, diff), _v_norm(mesh, diff)
 
     cases = _map_cases(solve_case, n_list, workers)
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
     max_errors: list[float] = []
     l2_errors: list[float] = []
-    for n, (mesh, rep) in zip(n_list, cases):
-        u = rep.solution.values
-        if exact is not None:
-            diff = u - exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
-            e_max = float(np.max(np.abs(diff)))
-            e_l2 = _l2_domain(mesh, diff)
-            err_v = _v_norm(mesh, diff)
-        else:
-            e_max = e_l2 = err_v = float("nan")
+    for n, (rep, e_max, e_l2, err_v) in zip(n_list, cases):
         max_errors.append(e_max)
         l2_errors.append(e_l2)
         rows.append(_row(f"n_{n}", n, alpha, p, rep, err_v, e_max))

@@ -3,6 +3,11 @@
 ``validate_mesh_reference`` is the loop-based mesh validation the library
 replaced with a vectorized one (with the non-finite coordinate check added in
 the same loop style); the tests require identical reports.
+``load_mesh_reference`` is the line-by-line mesh reader the library replaced
+with a bulk one; the tests require equal meshes and identical errors.
+``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
+G3 node, and ``robin_reference`` solves the Robin problem directly on the
+free rows of ``A + alpha M``; the library gets both from the G3 trace.
 
 The superpotential tables are closed forms for the built-in laws, and
 ``prox_reference`` minimizes the scalar proximal energy by brute force.
@@ -21,8 +26,17 @@ lower kink that is ``-r0 * (b - r)``, not the outer-slope pairing.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from hviheat.mesh import BoundaryTag
+from hviheat.assembly import (
+    VertexClass,
+    assemble_boundary_mass,
+    assemble_load,
+    assemble_stiffness,
+    build_dof_map,
+)
+from hviheat.mesh import BoundaryTag, Mesh, MeshFormatError
 
 
 def _triangulation_boundary(mesh) -> set[tuple[int, int]]:
@@ -91,6 +105,148 @@ def validate_mesh_reference(mesh) -> list[str]:
         )
 
     return report
+
+
+def load_mesh_reference(text: str) -> Mesh:
+    """Line-by-line mesh reader: the same meshes, messages and line numbers as ``load_mesh``.
+
+    Rows are collected in lists, so a huge section count cannot allocate.
+    """
+    tag_by_name = {t.value: t for t in BoundaryTag}
+    rows: list[tuple[int, list[str]]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            rows.append((lineno, content.split()))
+
+    pos = 0
+
+    def next_row(what: str) -> tuple[int, list[str]]:
+        nonlocal pos
+        if pos >= len(rows):
+            last = rows[-1][0] if rows else None
+            raise MeshFormatError(f"unexpected end of file, expected {what}", last)
+        row = rows[pos]
+        pos += 1
+        return row
+
+    lineno, fields = next_row("header 'meshfmt 1'")
+    if fields != ["meshfmt", "1"]:
+        raise MeshFormatError("expected header 'meshfmt 1'", lineno)
+
+    def section(name: str) -> int:
+        if name == "boundary" and pos >= len(rows):
+            raise MeshFormatError("boundary tags required", rows[-1][0] if rows else None)
+        lineno, fields = next_row(f"section '{name} N'")
+        if len(fields) != 2 or fields[0] != name:
+            if name == "boundary":
+                raise MeshFormatError("boundary tags required", lineno)
+            raise MeshFormatError(f"expected section '{name} N'", lineno)
+        try:
+            count = int(fields[1])
+        except ValueError:
+            raise MeshFormatError(f"bad {name} count {fields[1]!r}", lineno) from None
+        if count < 0:
+            raise MeshFormatError(f"negative {name} count", lineno)
+        return count
+
+    nv = section("vertices")
+    vertices: list[tuple[float, float]] = []
+    for r in range(nv):
+        lineno, fields = next_row("vertex coordinates 'x y'")
+        if len(fields) != 2:
+            raise MeshFormatError("expected two coordinates 'x y'", lineno)
+        try:
+            vertices.append((float(fields[0]), float(fields[1])))
+        except ValueError:
+            raise MeshFormatError(f"bad coordinate in {fields!r}", lineno) from None
+
+    nt = section("triangles")
+    triangles: list[list[int]] = []
+    for r in range(nt):
+        lineno, fields = next_row("triangle indices 'i j k'")
+        if len(fields) != 3:
+            raise MeshFormatError("expected three vertex indices 'i j k'", lineno)
+        try:
+            tri = [int(f) for f in fields]
+        except ValueError:
+            raise MeshFormatError(f"bad vertex index in {fields!r}", lineno) from None
+        for v in tri:
+            if v < 0 or v >= nv:
+                raise MeshFormatError(
+                    f"triangle references vertex index {v} out of range [0, {nv})", lineno
+                )
+        triangles.append(tri)
+
+    ne = section("boundary")
+    edges: list[tuple[int, int]] = []
+    tags: list[BoundaryTag] = []
+    for r in range(ne):
+        lineno, fields = next_row("boundary edge 'i j TAG'")
+        if len(fields) != 3:
+            raise MeshFormatError("expected boundary edge 'i j TAG'", lineno)
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise MeshFormatError(f"bad vertex index in {fields!r}", lineno) from None
+        for v in (a, b):
+            if v < 0 or v >= nv:
+                raise MeshFormatError(
+                    f"boundary edge references vertex index {v} out of range [0, {nv})",
+                    lineno,
+                )
+        tag = tag_by_name.get(fields[2])
+        if tag is None:
+            raise MeshFormatError(
+                f"unknown boundary tag {fields[2]!r}, expected one of G1, G2, G3", lineno
+            )
+        edges.append((a, b))
+        tags.append(tag)
+
+    interface: list[int] = []
+    if pos < len(rows) and rows[pos][1][0] == "interface":
+        for _ in range(section("interface")):
+            lineno, fields = next_row("interface vertex index")
+            if len(fields) != 1 or not fields[0].isdecimal() or int(fields[0]) >= nv:
+                raise MeshFormatError(
+                    f"expected one interface vertex index in [0, {nv}), got {fields!r}", lineno
+                )
+            interface.append(int(fields[0]))
+
+    if pos != len(rows):
+        raise MeshFormatError("trailing content after the last section", rows[pos][0])
+
+    return Mesh(
+        np.reshape(vertices, (nv, 2)),
+        np.reshape(np.array(triangles, dtype=np.int64), (nt, 3)),
+        np.reshape(np.array(edges, dtype=np.int64), (ne, 2)),
+        tuple(tags),
+        interface_vertices=tuple(interface),
+    )
+
+
+def schur_reference(mesh) -> np.ndarray:
+    """``A_gg - A_gb A_bb^-1 A_bg`` over the sorted G3 vertices, one back-solve per G3 node."""
+    A = assemble_stiffness(mesh).tocsr()
+    classes = build_dof_map(mesh, "V0").vertex_class
+    bulk = np.nonzero(classes == VertexClass.FREE)[0]
+    g3 = np.nonzero(classes == VertexClass.GAMMA3)[0]
+    lu = spla.splu(sp.csc_matrix(A[bulk][:, bulk]))
+    A_bg = A[bulk][:, g3].toarray()
+    columns = np.column_stack([lu.solve(A_bg[:, k]) for k in range(len(g3))])
+    return A[g3][:, g3].toarray() - A[g3][:, bulk] @ columns
+
+
+def robin_reference(mesh, data, boundary_mass: str = "consistent") -> np.ndarray:
+    """The Robin field from one sparse direct solve of the free rows of ``A + alpha M``."""
+    weights, consistent = assemble_boundary_mass(mesh)
+    exchange = consistent if boundary_mass == "consistent" else sp.diags(weights)
+    K = (assemble_stiffness(mesh) + data.alpha * exchange).tocsr()
+    rhs = assemble_load(mesh, data) + data.alpha * (exchange @ data.b_nodal(mesh))
+    free = build_dof_map(mesh, "V0").free_indices
+    u = np.zeros(mesh.num_vertices)
+    u[free] = spla.spsolve(sp.csc_matrix(K[free][:, free]), rhs[free])
+    return u
 
 
 def exp_quadratic_table(b: float, r: float) -> tuple[float, float, float]:

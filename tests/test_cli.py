@@ -100,6 +100,7 @@ class TestParseConfig:
             ),
             ("experiment.n_list = 4,4", "experiment.n_list must be increasing integers"),
             ("experiment.n_list = 8,4", "experiment.n_list must be increasing integers"),
+            ("problem.alphas =", "problem.alphas is empty; list at least one number"),
         ],
     )
     def test_non_finite_or_meaningless_number_exits_2_naming_the_line(
@@ -108,6 +109,28 @@ class TestParseConfig:
         config = tmp_path / "run.cfg"
         config.write_text(f"command = solve\nmesh.n = 4\npotential.id = quadratic\n{line}\n")
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert f"line 4: {message}" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            (
+                "robin_lumped",
+                "the refinement study takes problem.kind dirichlet, robin, hvi or vi, "
+                "not robin_lumped",
+            ),
+            ("hvi", "problem.kind = hvi needs a potential.id"),
+            ("vi", "problem.kind = vi needs a potential.id"),
+        ],
+    )
+    def test_refinement_kind_it_cannot_run_exits_2_naming_the_line(self, tmp_path, kind, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"command = experiment\nexperiment.id = refinement\nmesh.n = 4\nproblem.kind = {kind}\n"
+        )
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ConfigError"
         assert f"line 4: {message}" in payload["message"]

@@ -12,7 +12,7 @@ from hviheat.mesh import (
     save_mesh,
     validate_mesh,
 )
-from oracles import validate_mesh_reference
+from oracles import load_mesh_reference, validate_mesh_reference
 
 
 def tag_counts(mesh):
@@ -319,3 +319,70 @@ def test_comments_and_blank_lines_ignored():
         "vertices 4", "vertices 4   # vertex table"
     )
     assert load_mesh(text) == m
+
+
+def _read(reader, text):
+    """The mesh ``reader`` makes of ``text`` (saved, so NaN compares equal), or its error."""
+    try:
+        return save_mesh(reader(text))
+    except MeshFormatError as exc:
+        return str(exc), exc.line
+
+
+@st.composite
+def mesh_texts(draw):
+    """The text of a jittered structured mesh, maybe with an interface vertex."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = generate_unit_square_mesh(n)
+    jitter = draw(st.floats(min_value=-0.1, max_value=0.1, allow_subnormal=False))
+    vertices = m.vertices + jitter * np.sin(np.arange(2 * m.num_vertices)).reshape(-1, 2)
+    interface = draw(st.sampled_from([(), (0,)]))
+    mesh = Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags, interface)
+    return mesh, save_mesh(mesh).splitlines()
+
+
+_NOISE = st.sampled_from(["", "   ", "# comment", "\t# tab then comment", "  # indented"])
+_FIELDS = st.sampled_from(
+    ["x", "1.5", "-1", "0", "2", "99999", "99999999999999999999", "nan", "1e400", "1_0",
+     "\u0663", "+1", "G1", "G3", "G9", "|", "||", "1|", "#", "0x10", "interface", "vertices"]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mesh_texts(), st.data())
+def test_bulk_reader_matches_the_line_reader_on_valid_text(case, data):
+    mesh, lines = case
+    noisy = []
+    for line in lines:
+        noisy += data.draw(st.lists(_NOISE, max_size=2))
+        noisy.append(line + data.draw(st.sampled_from(["", "  ", " # trailing", "\t"])))
+    text = "\n".join(noisy) + data.draw(st.sampled_from(["", "\n", "\n\n# end\n"]))
+    assert load_mesh(text) == load_mesh_reference(text) == mesh
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh_texts(), st.data())
+def test_bulk_reader_matches_the_line_reader_on_corrupted_text(case, data):
+    _, lines = case
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        k = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fields = lines[k].split()
+        how = data.draw(st.sampled_from(["replace", "drop", "add", "delete", "repeat"]))
+        if not fields and how in ("replace", "drop"):
+            how = "add"
+        if how == "replace":
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_FIELDS)
+        elif how == "drop":
+            del fields[data.draw(st.integers(0, len(fields) - 1))]
+        elif how == "add":
+            fields.insert(data.draw(st.integers(0, len(fields))), data.draw(_FIELDS))
+        if how == "delete":
+            del lines[k]
+        elif how == "repeat":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = " ".join(fields)
+        if not lines:
+            break
+    text = "\n".join(lines) + "\n"
+    assert _read(load_mesh, text) == _read(load_mesh_reference, text)

@@ -27,7 +27,7 @@ from hviheat.hvi_solver import (
     solve_hvi,
     solve_robin,
 )
-from hviheat.mesh import Mesh, generate_unit_square_mesh, load_mesh, save_mesh
+from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh, load_mesh, save_mesh
 from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
@@ -35,6 +35,7 @@ from hviheat.potentials import (
     make_potential,
     potential_ids,
 )
+from oracles import robin_reference, schur_reference
 
 # The benchmark's robustness grid: g takes both signs, so data violating the
 # sign conditions (solutions above the datum, nonconvex branches active) are in.
@@ -123,7 +124,9 @@ def _perturbed_factorization(monkeypatch):
     monkeypatch.setattr(
         hviheat.hvi_solver,
         "spla",
-        SimpleNamespace(splu=lambda A: splu(sp.csc_matrix(A + 0.5 * sp.diags(A.diagonal())))),
+        SimpleNamespace(
+            splu=lambda A, **kw: splu(sp.csc_matrix(A + 0.5 * sp.diags(A.diagonal())), **kw)
+        ),
     )
 
 
@@ -148,6 +151,84 @@ def test_linear_solve_error_exits_1_with_error_file(monkeypatch, tmp_path):
     assert payload["error"] == "LinearSolveError"
     assert payload["status"] == 1
     assert not (tmp_path / "solution.csv").exists()
+
+
+def _renumbered_mesh():
+    base = generate_unit_square_mesh(8)
+    perm = np.random.default_rng(17).permutation(base.num_vertices)
+    vertices = np.empty_like(base.vertices)
+    vertices[perm] = base.vertices
+    return load_mesh(
+        save_mesh(Mesh(vertices, perm[base.triangles], perm[base.boundary_edges], base.boundary_tags))
+    )
+
+
+def _interface_mesh():
+    # G3 on x=1 and on y=1, so it meets G1 (x=0) at the declared vertex (0, 1)
+    n = 6
+    m = generate_unit_square_mesh(n)
+    top = m.vertices[m.boundary_edges][:, :, 1].min(axis=1) == 1.0
+    tags = tuple(BoundaryTag.GAMMA3 if t else tag for t, tag in zip(top, m.boundary_tags))
+    corner = n * (n + 1)
+    return load_mesh(
+        save_mesh(Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=(corner,)))
+    )
+
+
+def _jittered_mesh():
+    # interior vertices moved by up to 0.35 h: the stiffness is no longer an M-matrix
+    n = 12
+    m = generate_unit_square_mesh(n)
+    rng = np.random.default_rng(3)
+    interior = np.all((m.vertices > 0.0) & (m.vertices < 1.0), axis=1)
+    radius = 0.35 / n * np.sqrt(rng.uniform(size=interior.sum()))
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=interior.sum())
+    vertices = m.vertices.copy()
+    vertices[interior] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
+
+
+TRACE_MESHES = {"renumbered": _renumbered_mesh, "interface": _interface_mesh, "jittered": _jittered_mesh}
+
+
+class TestTrace:
+    def test_jittered_mesh_is_valid_and_not_an_m_matrix(self):
+        m = _jittered_mesh()
+        A = assemble_stiffness(m).tocoo()
+        assert hviheat.assembly.mesh_report(m) == ()
+        assert np.any(A.data[A.row != A.col] > 0.0)
+
+    @pytest.mark.parametrize("name", TRACE_MESHES)
+    def test_schur_complement_matches_back_solves(self, name):
+        m = TRACE_MESHES[name]()
+        schur = hviheat.hvi_solver._trace_reduction(hviheat.assembly.mesh_operators(m))
+        expected = schur_reference(m)
+        assert np.max(np.abs(schur - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("mass", ["consistent", "lumped"])
+    @pytest.mark.parametrize("name", TRACE_MESHES)
+    def test_robin_matches_the_direct_solve(self, name, mass):
+        m = TRACE_MESHES[name]()
+        for alpha in (0.3, 3.0, 300.0):
+            data = ProblemData.make(m, g=lambda x, y: 2.0 - 4.0 * x * y, q=0.5, b=0.5, alpha=alpha)
+            rep = solve_robin(m, data, boundary_mass=mass)
+            expected = robin_reference(m, data, mass)
+            assert rep.converged
+            assert np.max(np.abs(rep.solution.values - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_g3_off_the_trailing_block_raises(self, monkeypatch):
+        splu = hviheat.hvi_solver.spla.splu
+
+        def misordered(A, **kwargs):
+            lu = splu(A, **kwargs)
+            if not kwargs:
+                return lu  # the bulk factor
+            return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, L=lu.L, U=lu.U)
+
+        monkeypatch.setattr(hviheat.hvi_solver, "spla", SimpleNamespace(splu=misordered))
+        m = generate_unit_square_mesh(4)
+        with pytest.raises(LinearSolveError, match="moved G3 out of its trailing block"):
+            solve_robin(m, ProblemData.make(m, g=-1.0, b=1.0, alpha=3.0))
 
 
 class TestHvi:
@@ -359,7 +440,7 @@ def test_threads_build_the_shared_operators_once(monkeypatch):
     monkeypatch.setattr(
         hviheat.hvi_solver,
         "spla",
-        SimpleNamespace(splu=lambda A: factored.append(A.shape) or spla.splu(A)),
+        SimpleNamespace(splu=lambda A, **kw: factored.append(A.shape) or spla.splu(A, **kw)),
     )
     p = AbsPotential(b=1.0)
 
@@ -384,8 +465,9 @@ def test_threads_build_the_shared_operators_once(monkeypatch):
         sys.setswitchinterval(interval)
     assert all(np.array_equal(r, e) for r, e in zip(results, expected))
     assert len(validations) == 1
-    n_bulk = len(hviheat.assembly.mesh_operators(m).bulk)
-    assert factored.count((n_bulk, n_bulk)) == 1
+    ops = hviheat.assembly.mesh_operators(m)
+    n_bulk, n_free = len(ops.bulk), len(ops.bulk) + len(ops.gamma3)
+    assert sorted(factored) == [(n_bulk, n_bulk), (n_free, n_free)]
 
 
 def test_solution_norms_match_assembled_forms():

@@ -129,8 +129,51 @@ class TestComparison:
         rep = verify_comparison(m, d, AbsPotential(b=1.0), alphas=(1.0, 10.0, 100.0))
         assert rep.passed
         assert len(validations) == 1
-        n_bulk = len(mesh_operators(m).bulk)
-        assert factored.count((n_bulk, n_bulk)) == 1
+        ops = mesh_operators(m)
+        n_bulk, n_free = len(ops.bulk), len(ops.bulk) + len(ops.gamma3)
+        assert sorted(factored) == [(n_bulk, n_bulk), (n_free, n_free)]
+
+
+def _count_factorizations(monkeypatch):
+    """Record each ``splu`` of the solvers, with whether ``estimate_coercivity`` was running."""
+    splu = hviheat.hvi_solver.spla.splu
+    estimate = hviheat.verification.estimate_coercivity
+    factored, inside = [], []
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append((A.shape, bool(inside)))
+        return splu(A, *args, **kwargs)
+
+    def flagged_estimate(*args, **kwargs):
+        inside.append(1)
+        try:
+            return estimate(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hviheat.hvi_solver, "spla", SimpleNamespace(splu=counting_splu))
+    monkeypatch.setattr(hviheat.verification, "estimate_coercivity", flagged_estimate)
+    return factored
+
+
+def test_linear_theorem_factors_twice_for_five_alphas(monkeypatch):
+    factored = _count_factorizations(monkeypatch)
+    m = mesh8()
+    alphas = (1.0, 3.0, 10.0, 30.0, 100.0)
+    rep = verify_linear_theorem(m, ProblemData.make(m, g=-1.0, q=1.0, b=1.0, alpha=1.0), alphas=alphas)
+    assert len(rep.rows) == 5
+    assert len(factored) == 2
+
+
+def test_coercivity_estimate_reuses_the_shared_factor(monkeypatch):
+    factored = _count_factorizations(monkeypatch)
+    m = mesh8()
+    d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+    shape = m.vertices[:, 0] * (1.0 - m.vertices[:, 0])
+    perturbed = [ProblemData(g=d.g + 2.0**-k * shape, q=d.q, b=d.b, alpha=d.alpha) for k in range(3)]
+    verify_continuous_dependence(m, d, QuadraticPotential(b=1.0), perturbed)
+    assert len(factored) == 2
+    assert not any(during for _, during in factored)
 
 
 class TestMonotonicity:
