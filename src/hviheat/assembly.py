@@ -17,7 +17,6 @@ which solvers, certificates and experiments share.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Mapping
@@ -337,7 +336,6 @@ class MeshOperators:
 
     def __init__(self, mesh: Mesh):
         self.report = tuple(validate_mesh(mesh))
-        self.lock = threading.RLock()
         self._derived: dict[str, object] = {}
         if self.report:
             return
@@ -358,28 +356,16 @@ class MeshOperators:
         )
 
     def once(self, key: str, build: Callable[[], object]):
-        """``build()`` on the first call for ``key``, its cached result after.
-
-        Runs under the bundle's lock, so concurrent callers build it once.
-        """
-        with self.lock:
-            if key not in self._derived:
-                self._derived[key] = build()
-            return self._derived[key]
-
-
-_ATTACH_LOCK = threading.Lock()
+        """``build()`` on the first call for ``key``, its cached result after."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def _attached_operators(mesh: Mesh) -> MeshOperators:
-    ops = mesh._operators
-    if ops is None:
-        with _ATTACH_LOCK:
-            ops = mesh._operators
-            if ops is None:
-                ops = MeshOperators(mesh)
-                object.__setattr__(mesh, "_operators", ops)
-    return ops
+    if mesh._operators is None:
+        object.__setattr__(mesh, "_operators", MeshOperators(mesh))
+    return mesh._operators
 
 
 def mesh_report(mesh: Mesh) -> tuple[str, ...]:

@@ -66,6 +66,24 @@ _EXPERIMENTS = {
     "refinement": (refinement_study, ("n_list",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
+# The keys behind a parameter whose key is not ``experiment.<parameter>``, and
+# the keys the CLI itself reads for an experiment.
+_PARAM_KEYS = {
+    "alphas": ("problem.alphas",),
+    "rate_window": ("experiment.rate_lo", "experiment.rate_hi"),
+}
+_CLI_KEYS = {"continuous_dependence": ("experiment.levels", "experiment.bump")}
+
+
+def _keys_read(command: str, experiment_id: str | None) -> set[str]:
+    """The ``experiment.*`` keys and ``problem.alphas`` that a run reads."""
+    keys = {"experiment.workers"}
+    if command == "experiment":
+        keys.update(("experiment.id", *_CLI_KEYS.get(experiment_id, ())))
+        for name in _EXPERIMENTS[experiment_id][1]:
+            keys.update(_PARAM_KEYS.get(name, (f"experiment.{name}",)))
+    return keys
+
 
 _KNOWN_KEYS = {
     "command",
@@ -126,15 +144,15 @@ class RunConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
     experiment_id: str | None = None
     experiment: dict[str, object] = field(default_factory=dict)
-    workers: int = 1
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a flat key/value configuration.
 
     Unknown keys are rejected with the nearest known key suggested; duplicate
-    keys name both offending lines.  All collected errors are raised together
-    as a ``ConfigError``.
+    keys name both offending lines; an ``experiment.*`` key or
+    ``problem.alphas`` that the command and experiment do not read names its
+    line.  All collected errors are raised together as a ``ConfigError``.
     """
     errors: list[str] = []
     pairs: dict[str, tuple[str, int]] = {}
@@ -158,6 +176,7 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"line {lineno}: unknown key '{key}'{hint}")
             continue
         pairs[key] = (value, lineno)
+    lines = {key: lineno for key, (_, lineno) in pairs.items()}
 
     def take(key: str) -> tuple[str, int] | None:
         return pairs.pop(key, None)
@@ -218,7 +237,7 @@ def parse_config(text: str) -> RunConfig:
             return None
         return value
 
-    def take_floats(key: str) -> tuple[float, ...] | None:
+    def take_floats(key: str, positive: bool = False) -> tuple[float, ...] | None:
         item = take(key)
         if item is None:
             return None
@@ -232,6 +251,9 @@ def parse_config(text: str) -> RunConfig:
             return None
         if not np.all(np.isfinite(out)):
             errors.append(f"line {lineno}: {key} must be comma-separated finite numbers")
+            return None
+        if positive and min(out) <= 0.0:
+            errors.append(f"line {lineno}: {key} must all be positive")
             return None
         return out
 
@@ -260,9 +282,7 @@ def parse_config(text: str) -> RunConfig:
         cfg.b = b
 
     cfg.alpha = take_float("problem.alpha", positive=True)
-    cfg.alphas = take_floats("problem.alphas")
-    if cfg.alphas is not None and any(a <= 0 for a in cfg.alphas):
-        errors.append("problem.alphas must all be positive")
+    cfg.alphas = take_floats("problem.alphas", positive=True)
 
     pid_item = take("potential.id")
     cfg.potential_id = pid_item[0] if pid_item else None
@@ -333,9 +353,24 @@ def parse_config(text: str) -> RunConfig:
                     f"line {lineno}: experiment.n_list must be increasing integers "
                     f"of at least 1, got {value!r}"
                 )
-    workers = take_int("experiment.workers", minimum=1)
-    if workers is not None:
-        cfg.workers = workers
+    if take_int("experiment.workers") not in (None, 1):
+        errors.append(
+            f"line {lines['experiment.workers']}: experiment.workers must be 1; "
+            "experiments run sequentially"
+        )
+    if command_item and (cfg.command != "experiment" or cfg.experiment_id):
+        read = _keys_read(cfg.command, cfg.experiment_id)
+        reader = cfg.experiment_id if cfg.command == "experiment" else cfg.command
+        errors.extend(
+            f"line {lineno}: {key} is not read by {reader}"
+            for key, lineno in lines.items()
+            if (key.startswith("experiment.") or key == "problem.alphas") and key not in read
+        )
+        rate = [key for key in ("experiment.rate_lo", "experiment.rate_hi") if key in lines]
+        if len(rate) == 1 and rate[0] in read:
+            errors.append(
+                f"line {lines[rate[0]]}: experiment.rate_lo and experiment.rate_hi go together"
+            )
 
     # cross-field requirements
     if not errors:
@@ -464,7 +499,7 @@ def _run_experiment(cfg: RunConfig, out: Path) -> int:
     if "rate_lo" in given and "rate_hi" in given:
         given["rate_window"] = (given["rate_lo"], given["rate_hi"])
     kwargs = {key: given[key] for key in params if key in given}
-    kwargs.update(opts=cfg.solver, workers=cfg.workers)
+    kwargs["opts"] = cfg.solver
 
     if exp == "refinement":
         kind = cfg.problem_kind or "robin"

@@ -119,30 +119,12 @@ class SolveReport:
     converged: bool
 
 
-class _SharedFactor:
-    """A factorization ``lu`` shared by every solve on one mesh.
-
-    SciPy does not promise that ``SuperLU.solve`` may run concurrently on
-    one factor, so back-solves take the owning bundle's lock.
-    """
-
-    def __init__(self, lu, lock):
-        self.lu = lu
-        self._lock = lock
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        with self._lock:
-            return self.lu.solve(rhs)
-
-
-def _bulk_factor(ops: MeshOperators) -> _SharedFactor:
+def _bulk_factor(ops: MeshOperators) -> spla.SuperLU:
     """Factorization of the mesh's bulk block, built on first use."""
-    return ops.once(
-        "bulk_factor", lambda: _SharedFactor(spla.splu(sp.csc_matrix(ops.bulk_block)), ops.lock)
-    )
+    return ops.once("bulk_factor", lambda: spla.splu(sp.csc_matrix(ops.bulk_block)))
 
 
-def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, _SharedFactor]:
+def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, spla.SuperLU]:
     """``(order, factor)``: the V0 free stiffness factored with G3 last.
 
     ``order`` lists the free vertices: the bulk in the fill-reducing column
@@ -154,7 +136,7 @@ def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, _SharedFactor]:
 
     def build():
         nb = len(ops.bulk)
-        order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).lu.perm_c)], ops.gamma3])
+        order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).perm_c)], ops.gamma3])
         options = {"SymmetricMode": True}
         K = sp.csc_matrix(ops.stiffness[order][:, order])
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=options)
@@ -163,7 +145,7 @@ def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, _SharedFactor]:
             message = "the G3-last factorization moved G3 out of its trailing block"
             raise LinearSolveError(message, ())
         _freeze(order)
-        return order, _SharedFactor(lu, ops.lock)
+        return order, lu
 
     return ops.once("g3_last_factor", build)
 
@@ -176,7 +158,7 @@ def _trace_reduction(ops: MeshOperators) -> np.ndarray:
     """
 
     def build():
-        nb, lu = len(ops.bulk), _g3_last_factor(ops)[1].lu
+        nb, lu = len(ops.bulk), _g3_last_factor(ops)[1]
         schur = lu.L[nb:, nb:].toarray() @ lu.U[nb:, nb:].toarray()
         _freeze(schur)
         return schur

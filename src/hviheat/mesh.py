@@ -8,8 +8,9 @@ The boundary of every mesh is split into three tagged portions:
   multivalued subdifferential law.
 
 Each portion must be nonempty (it must have positive length).  Meshes are
-immutable after construction (their arrays are read-only copies) and safe to
-share across threads.
+immutable after construction (their arrays are read-only copies), but a
+mesh keeps its lazily built operators, so it must not be used from two
+threads at once.
 """
 
 from __future__ import annotations

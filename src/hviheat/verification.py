@@ -15,9 +15,8 @@ and shares that with every solve it makes.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,24 +61,6 @@ CSV_HEADER = "case_id,n,alpha,potential,err_V,margin_min,certificate_max,verdict
 
 class PreconditionError(ValueError):
     """The experiment's standing hypotheses do not hold for the given data."""
-
-
-_Case = TypeVar("_Case")
-_Result = TypeVar("_Result")
-
-
-def _map_cases(
-    fn: Callable[[_Case], _Result], cases: Sequence[_Case], workers: int
-) -> list[_Result]:
-    """Run independent cases, optionally on a thread pool, in input order.
-
-    Each case is a pure computation, so results are identical regardless of
-    execution interleaving; report assembly stays ordered by case index.
-    """
-    if workers <= 1 or len(cases) <= 1:
-        return [fn(case) for case in cases]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, cases))
 
 
 def _fmt(x: float) -> str:
@@ -206,7 +187,6 @@ def _sweep(
     alphas: Sequence[float],
     p: Potential | None,
     opts: SolverOptions,
-    workers: int,
 ) -> list[SolveReport]:
     """One solve per exchange coefficient, with the data's g, q and b, in input order.
 
@@ -217,7 +197,7 @@ def _sweep(
         case = ProblemData(g=data.g, q=data.q, b=data.b, alpha=float(alpha))
         return solve_robin(mesh, case, opts) if p is None else solve_hvi(mesh, case, p, opts)
 
-    return _map_cases(solve, alphas, workers)
+    return [solve(alpha) for alpha in alphas]
 
 
 def _row(
@@ -270,7 +250,6 @@ def verify_linear_theorem(
     rel_target: float = 1e-3,
     slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Comparison, coefficient monotonicity, and convergence of the linear law.
 
@@ -298,7 +277,7 @@ def verify_linear_theorem(
     rows: list[CaseRow] = []
     errors: list[float] = []
     prev_u = None
-    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, None, opts, workers)):
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, None, opts)):
         u = rep.solution.values
         errors.append(_v_norm(mesh, u - u_inf))
         margins = [float(np.min(b - u)), float(np.min(u_inf - u))]
@@ -339,7 +318,6 @@ def verify_comparison(
     alphas: Sequence[float] = (1.0, 10.0, 100.0),
     slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Certified multivalued solutions stay below the datum and the limit.
 
@@ -362,7 +340,7 @@ def verify_comparison(
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
-    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts, workers)):
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts)):
         if not rep.converged:
             detail = "solver did not certify; case aborted"
             claims.append(_uncertified(f"alpha={alpha:g}", rep, detail))
@@ -395,7 +373,6 @@ def verify_monotonicity(
     override: bool = False,
     slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Solutions ordered by the exchange coefficient, gated by the scaled sign condition.
 
@@ -421,7 +398,7 @@ def verify_monotonicity(
             raise PreconditionError(f"need 0 < alpha1 <= alpha2, got ({a1:g}, {a2:g})")
 
     unique_alphas = sorted({a for pair in pairs for a in pair})
-    solved = dict(zip(unique_alphas, _sweep(mesh, data, unique_alphas, p, opts, workers)))
+    solved = dict(zip(unique_alphas, _sweep(mesh, data, unique_alphas, p, opts)))
 
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
@@ -472,7 +449,6 @@ def verify_alpha_convergence(
     rate_window: tuple[float, float] | None = None,
     slack: float = 1e-10,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Convergence of the multivalued solutions to the limit problem.
 
@@ -512,7 +488,7 @@ def verify_alpha_convergence(
     claims: list[ClaimResult] = []
     errors: list[float] = []
     defects: list[float] = []
-    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts, workers)):
+    for alpha, rep in zip(alphas, _sweep(mesh, data, alphas, p, opts)):
         if not rep.converged:
             claims.append(_uncertified(f"alpha={alpha:g}", rep, "uncertified"))
         u = rep.solution.values
@@ -580,7 +556,6 @@ def verify_continuous_dependence(
     ratio_tol: float = 0.25,
     slack: float = 1e-10,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Stability of the solution under perturbations of energy and flux.
 
@@ -611,10 +586,8 @@ def verify_continuous_dependence(
         claims.append(_uncertified("base", base, "uncertified"))
     errors: list[float] = []
     deltas: list[float] = []
-    reports = _map_cases(
-        lambda pdata: solve_hvi(mesh, pdata, p, opts), tuple(perturbed), workers
-    )
-    for k, (pdata, rep) in enumerate(zip(perturbed, reports)):
+    for k, pdata in enumerate(perturbed):
+        rep = solve_hvi(mesh, pdata, p, opts)
         if not rep.converged:
             claims.append(_uncertified(f"case={k}", rep, "uncertified"))
         errors.append(_v_norm(mesh, rep.solution.values - u))
@@ -682,7 +655,6 @@ def refinement_study(
     expect_exact: bool = False,
     ratio_tol: float = 0.25,
     opts: SolverOptions = DEFAULT_OPTIONS,
-    workers: int = 1,
 ) -> ExperimentReport:
     """Discretization evidence on a family of structured meshes.
 
@@ -716,12 +688,12 @@ def refinement_study(
         diff = rep.solution.values - exact(mesh.vertices[:, 0], mesh.vertices[:, 1])
         return rep, float(np.max(np.abs(diff))), _l2_domain(mesh, diff), _v_norm(mesh, diff)
 
-    cases = _map_cases(solve_case, n_list, workers)
     rows: list[CaseRow] = []
     claims: list[ClaimResult] = []
     max_errors: list[float] = []
     l2_errors: list[float] = []
-    for n, (rep, e_max, e_l2, err_v) in zip(n_list, cases):
+    for n in n_list:
+        rep, e_max, e_l2, err_v = solve_case(n)
         max_errors.append(e_max)
         l2_errors.append(e_l2)
         rows.append(_row(f"n_{n}", n, alpha, p, rep, err_v, e_max))

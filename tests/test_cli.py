@@ -101,6 +101,12 @@ class TestParseConfig:
             ("experiment.n_list = 4,4", "experiment.n_list must be increasing integers"),
             ("experiment.n_list = 8,4", "experiment.n_list must be increasing integers"),
             ("problem.alphas =", "problem.alphas is empty; list at least one number"),
+            ("problem.alphas = 1,-2", "problem.alphas must all be positive"),
+            (
+                "experiment.workers = 2",
+                "experiment.workers must be 1; experiments run sequentially",
+            ),
+            ("experiment.ratio_tol = 0.25", "experiment.ratio_tol is not read by solve"),
         ],
     )
     def test_non_finite_or_meaningless_number_exits_2_naming_the_line(
@@ -114,22 +120,38 @@ class TestParseConfig:
         assert f"line 4: {message}" in payload["message"]
 
     @pytest.mark.parametrize(
-        "kind,message",
+        "exp,line,message",
         [
             (
-                "robin_lumped",
+                "refinement",
+                "problem.kind = robin_lumped",
                 "the refinement study takes problem.kind dirichlet, robin, hvi or vi, "
                 "not robin_lumped",
             ),
-            ("hvi", "problem.kind = hvi needs a potential.id"),
-            ("vi", "problem.kind = vi needs a potential.id"),
+            ("refinement", "problem.kind = hvi", "problem.kind = hvi needs a potential.id"),
+            ("refinement", "problem.kind = vi", "problem.kind = vi needs a potential.id"),
+            (
+                "comparison",
+                "experiment.rel_target = 3",
+                "experiment.rel_target is not read by comparison",
+            ),
+            (
+                "linear_theorem",
+                "experiment.n_list = 2,4",
+                "experiment.n_list is not read by linear_theorem",
+            ),
+            (
+                "alpha_convergence",
+                "experiment.rate_hi = 2",
+                "experiment.rate_lo and experiment.rate_hi go together",
+            ),
         ],
     )
-    def test_refinement_kind_it_cannot_run_exits_2_naming_the_line(self, tmp_path, kind, message):
+    def test_experiment_setting_it_cannot_run_exits_2_naming_the_line(
+        self, tmp_path, exp, line, message
+    ):
         config = tmp_path / "run.cfg"
-        config.write_text(
-            f"command = experiment\nexperiment.id = refinement\nmesh.n = 4\nproblem.kind = {kind}\n"
-        )
+        config.write_text(f"command = experiment\nexperiment.id = {exp}\nmesh.n = 4\n{line}\n")
         assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ConfigError"
@@ -308,6 +330,29 @@ class TestRun:
         assert run(cfg, tmp_path) == 1
         payload = json.loads((tmp_path / "error.json").read_text())
         assert payload["error"] == "PreconditionError"
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("solve", MINIMAL),
+            (
+                "experiment",
+                "command = experiment\nexperiment.id = comparison\nmesh.n = 8\n"
+                "problem.g = -1\nproblem.q = 0.5\nproblem.b = 1\nproblem.alphas = 1,10\n"
+                "potential.id = exp_quadratic\n",
+            ),
+        ],
+    )
+    def test_workers_1_leaves_every_output_byte_identical(self, tmp_path, command, text):
+        outputs = []
+        for name, config_text in (("plain", text), ("workers", text + "experiment.workers = 1\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(config_text)
+            out = tmp_path / name
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) == 2
 
     def test_unknown_potential_exits_2_and_lists_ids(self, tmp_path):
         cfg = parse_config(MINIMAL.replace("quadratic", "mystery"))

@@ -1,6 +1,4 @@
 import json
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -428,46 +426,6 @@ class TestConvexVi:
         rep = solve_hvi(m, ProblemData.make(m, alpha=1.0), AbsPotential(b=0.0))
         assert rep.converged
         assert np.max(np.abs(rep.solution.values)) <= 1e-14
-
-
-def test_threads_build_the_shared_operators_once(monkeypatch):
-    validate = hviheat.assembly.validate_mesh
-    spla = hviheat.hvi_solver.spla
-    validations, factored = [], []
-    monkeypatch.setattr(
-        hviheat.assembly, "validate_mesh", lambda mesh: validations.append(1) or validate(mesh)
-    )
-    monkeypatch.setattr(
-        hviheat.hvi_solver,
-        "spla",
-        SimpleNamespace(splu=lambda A, **kw: factored.append(A.shape) or spla.splu(A, **kw)),
-    )
-    p = AbsPotential(b=1.0)
-
-    def case(mesh, k):
-        data = ProblemData.make(mesh, g=-1.0, q=0.5, b=1.0, alpha=10.0 ** (k % 3))
-        if k % 4 == 3:
-            return solve_dirichlet(mesh, data).solution.values
-        return solve_hvi(mesh, data, p).solution.values
-
-    cases = range(12)
-    expected = [case(generate_unit_square_mesh(8), k) for k in cases]
-    validations.clear()
-    factored.clear()
-    m = generate_unit_square_mesh(8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(case, m, k) for k in cases]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(r, e) for r, e in zip(results, expected))
-    assert len(validations) == 1
-    ops = hviheat.assembly.mesh_operators(m)
-    n_bulk, n_free = len(ops.bulk), len(ops.bulk) + len(ops.gamma3)
-    assert sorted(factored) == [(n_bulk, n_bulk), (n_free, n_free)]
 
 
 def test_solution_norms_match_assembled_forms():

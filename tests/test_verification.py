@@ -355,24 +355,6 @@ class TestRefinement:
 
 
 class TestReportPlumbing:
-    # abs is convex: its threads share the mesh's bulk factor and Schur complement
-    @pytest.mark.parametrize(
-        "potential", [ExpQuadraticPotential, AbsPotential], ids=["exp_quadratic", "abs"]
-    )
-    def test_parallel_workers_reproduce_sequential_reports(self, potential):
-        d_args = dict(g=-1.0, q=0.5, b=1.0, alpha=1.0)
-        m = generate_unit_square_mesh(16)
-        seq = verify_comparison(
-            m, ProblemData.make(m, **d_args), potential(b=1.0), alphas=(1.0, 10.0, 100.0)
-        )
-        m = generate_unit_square_mesh(16)  # a fresh mesh: its lazy members are built anew
-        par = verify_comparison(
-            m, ProblemData.make(m, **d_args), potential(b=1.0), alphas=(1.0, 10.0, 100.0),
-            workers=3,
-        )
-        assert seq.to_csv() == par.to_csv()
-        assert seq.claims == par.claims
-
     def test_csv_layout_and_determinism(self):
         m = mesh8()
         d = ProblemData.make(m, b=1.0, alpha=1.0)
