@@ -119,9 +119,21 @@ class SolveReport:
     converged: bool
 
 
+# Both factors are of SPD matrices: diagonal pivots, symmetric structure.
+_SPD_SPLU = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
+
+
 def _bulk_factor(ops: MeshOperators) -> spla.SuperLU:
-    """Factorization of the mesh's bulk block, built on first use."""
-    return ops.once("bulk_factor", lambda: spla.splu(sp.csc_matrix(ops.bulk_block)))
+    """Factorization of the mesh's bulk block, built on first use.
+
+    ``A_bb`` is SPD on a valid connected mesh, where each bulk vertex is
+    joined to G1 or G3, so it is factored in a minimum-degree order of
+    ``A + A^T`` with diagonal pivots, which elimination keeps positive.
+    """
+    return ops.once(
+        "bulk_factor",
+        lambda: spla.splu(sp.csc_matrix(ops.bulk_block), permc_spec="MMD_AT_PLUS_A", **_SPD_SPLU),
+    )
 
 
 def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, spla.SuperLU]:
@@ -137,9 +149,8 @@ def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, spla.SuperLU]:
     def build():
         nb = len(ops.bulk)
         order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).perm_c)], ops.gamma3])
-        options = {"SymmetricMode": True}
         K = sp.csc_matrix(ops.stiffness[order][:, order])
-        lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0, options=options)
+        lu = spla.splu(K, permc_spec="NATURAL", **_SPD_SPLU)
         trailing = np.arange(nb, len(order))
         if not all(np.array_equal(perm[nb:], trailing) for perm in (lu.perm_r, lu.perm_c)):
             message = "the G3-last factorization moved G3 out of its trailing block"

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import hviheat.assembly
 import hviheat.hvi_solver
@@ -151,8 +152,8 @@ def test_linear_solve_error_exits_1_with_error_file(monkeypatch, tmp_path):
     assert not (tmp_path / "solution.csv").exists()
 
 
-def _renumbered_mesh():
-    base = generate_unit_square_mesh(8)
+def _renumbered_mesh(n=8):
+    base = generate_unit_square_mesh(n)
     perm = np.random.default_rng(17).permutation(base.num_vertices)
     vertices = np.empty_like(base.vertices)
     vertices[perm] = base.vertices
@@ -173,20 +174,26 @@ def _interface_mesh():
     )
 
 
-def _jittered_mesh():
-    # interior vertices moved by up to 0.35 h: the stiffness is no longer an M-matrix
+def _jittered_mesh(jitter=0.35, seed=3):
+    # interior vertices moved by up to `jitter` h: at 0.35 the stiffness is no longer an M-matrix
     n = 12
     m = generate_unit_square_mesh(n)
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     interior = np.all((m.vertices > 0.0) & (m.vertices < 1.0), axis=1)
-    radius = 0.35 / n * np.sqrt(rng.uniform(size=interior.sum()))
+    radius = jitter / n * np.sqrt(rng.uniform(size=interior.sum()))
     angle = rng.uniform(0.0, 2.0 * np.pi, size=interior.sum())
     vertices = m.vertices.copy()
     vertices[interior] += radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
     return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
 
 
-TRACE_MESHES = {"renumbered": _renumbered_mesh, "interface": _interface_mesh, "jittered": _jittered_mesh}
+TRACE_MESHES = {
+    "renumbered": _renumbered_mesh,
+    "interface": _interface_mesh,
+    "jittered": _jittered_mesh,
+    # moved by up to 0.42 h: threshold pivoting on A_bb leaves the diagonal here
+    "strongly_jittered": lambda: _jittered_mesh(0.42, seed=1),
+}
 
 
 class TestTrace:
@@ -214,12 +221,24 @@ class TestTrace:
             assert rep.converged
             assert np.max(np.abs(rep.solution.values - expected)) <= 1e-12 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("name", TRACE_MESHES)
+    def test_bulk_factor_keeps_diagonal_pivots(self, name):
+        ops = hviheat.assembly.mesh_operators(TRACE_MESHES[name]())
+        lu = hviheat.hvi_solver._bulk_factor(ops)
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+    def test_bulk_factor_fills_less_than_the_unsymmetric_order(self):
+        ops = hviheat.assembly.mesh_operators(_renumbered_mesh(48))
+        lu = hviheat.hvi_solver._bulk_factor(ops)
+        colamd = spla.splu(sp.csc_matrix(ops.bulk_block))
+        assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
     def test_g3_off_the_trailing_block_raises(self, monkeypatch):
         splu = hviheat.hvi_solver.spla.splu
 
         def misordered(A, **kwargs):
             lu = splu(A, **kwargs)
-            if not kwargs:
+            if kwargs.get("permc_spec") != "NATURAL":
                 return lu  # the bulk factor
             return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, L=lu.L, U=lu.U)
 
