@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .potentials import (
     default_grid,
     estimate_relaxed_monotonicity,
     make_potential,
+    potential_ids,
 )
 from .verification import (
     PreconditionError,
@@ -66,55 +68,166 @@ _EXPERIMENTS = {
     "refinement": (refinement_study, ("n_list",)),
 }
 EXPERIMENTS = tuple(_EXPERIMENTS)
-# The keys behind a parameter whose key is not ``experiment.<parameter>``, and
-# the keys the CLI itself reads for an experiment.
-_PARAM_KEYS = {
-    "alphas": ("problem.alphas",),
-    "rate_window": ("experiment.rate_lo", "experiment.rate_hi"),
-}
-_CLI_KEYS = {"continuous_dependence": ("experiment.levels", "experiment.bump")}
+# The names behind an experiment parameter whose key is not
+# ``experiment.<parameter>``, and the names the CLI itself reads for an
+# experiment.  A name is the last part of its key.
+_PARAM_NAMES = {"rate_window": ("rate_lo", "rate_hi")}
+_CLI_NAMES = {"continuous_dependence": ("levels", "bump")}
+_ALPHAS_KEY = "problem.alphas"
+_PARAM_PREFIX = "potential.params."
 
 
 def _keys_read(command: str, experiment_id: str | None) -> set[str]:
     """The ``experiment.*`` keys and ``problem.alphas`` that a run reads."""
-    keys = {"experiment.workers"}
+    names = {"workers"}
     if command == "experiment":
-        keys.update(("experiment.id", *_CLI_KEYS.get(experiment_id, ())))
+        names.update(("id", *_CLI_NAMES.get(experiment_id, ())))
         for name in _EXPERIMENTS[experiment_id][1]:
-            keys.update(_PARAM_KEYS.get(name, (f"experiment.{name}",)))
-    return keys
+            names.update(_PARAM_NAMES.get(name, (name,)))
+    return {_ALPHAS_KEY if name == "alphas" else f"experiment.{name}" for name in names}
 
 
-_KNOWN_KEYS = {
-    "command",
-    "mesh.n",
-    "mesh.file",
-    "problem.kind",
-    "problem.g",
-    "problem.q",
-    "problem.b",
-    "problem.alpha",
-    "problem.alphas",
-    "potential.id",
-    "potential.b",
-    "solver.tol_interior",
-    "solver.tol_inclusion",
-    "solver.max_iters",
-    "experiment.id",
-    "experiment.alpha_pairs",
-    "experiment.override",
-    "experiment.rel_target",
-    "experiment.final_rel_target",
-    "experiment.rate_lo",
-    "experiment.rate_hi",
-    "experiment.levels",
-    "experiment.bump",
-    "experiment.ratio_target",
-    "experiment.ratio_tol",
-    "experiment.n_list",
-    "experiment.workers",
-}
-_PARAM_PREFIX = "potential.params."
+# Parsers: ``(key, value) -> parsed``, raising ``ValueError`` with the message
+# that ``parse_config`` prefixes with the key's line.
+
+
+def _text(key: str, value: str) -> str:
+    return value
+
+
+def _choice(*options: str):
+    def parse(key: str, value: str) -> str:
+        if value not in options:
+            raise ValueError(f"{key} must be one of {', '.join(options)}; got {value!r}")
+        return value
+
+    return parse
+
+
+def _flag(key: str, value: str) -> bool:
+    return _choice("true", "false")(key, value) == "true"
+
+
+def _integer(minimum: int | None = None):
+    def parse(key: str, value: str) -> int:
+        try:
+            out = int(value)
+        except ValueError:
+            raise ValueError(f"{key} must be an integer, got {value!r}") from None
+        if minimum is not None and out < minimum:
+            raise ValueError(f"{key} must be at least {minimum}")
+        return out
+
+    return parse
+
+
+def _number(positive: bool = False):
+    def parse(key: str, value: str) -> float:
+        try:
+            out = float(value)
+        except ValueError:
+            out = np.nan
+        if not np.isfinite(out):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if positive and out <= 0.0:
+            raise ValueError(f"{key} must be positive")
+        return out
+
+    return parse
+
+
+def _positive_numbers(key: str, value: str) -> tuple[float, ...]:
+    try:
+        out = tuple(float(part) for part in value.split(",") if part.strip())
+    except ValueError:
+        out = (np.nan,)
+    if not out:
+        raise ValueError(f"{key} is empty; list at least one number")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} must be comma-separated finite numbers")
+    if min(out) <= 0.0:
+        raise ValueError(f"{key} must all be positive")
+    return out
+
+
+def _expression(key: str, value: str) -> str:
+    try:
+        compile_expression(value)
+    except ExpressionError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    return value
+
+
+def _alpha_pairs(key: str, value: str) -> tuple[tuple[float, ...], ...]:
+    try:
+        pairs = tuple(tuple(float(x) for x in chunk.split(":")) for chunk in value.split(","))
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{key} must look like '1:10,10:100'") from None
+    if not all(0 < a1 <= a2 < np.inf for a1, a2 in pairs):
+        raise ValueError(f"{key} must be finite pairs a1:a2 with 0 < a1 <= a2, got {value!r}")
+    return pairs
+
+
+def _n_list(key: str, value: str) -> tuple[int, ...]:
+    try:
+        out = tuple(int(part) for part in value.split(","))
+    except ValueError:
+        raise ValueError(f"{key} must be comma-separated integers") from None
+    if out[0] < 1 or any(a >= b for a, b in zip(out, out[1:])):
+        raise ValueError(f"{key} must be increasing integers of at least 1, got {value!r}")
+    return out
+
+
+def _workers(key: str, value: str) -> int:
+    if _integer()(key, value) != 1:
+        raise ValueError(f"{key} must be 1; experiments run sequentially")
+    return 1
+
+
+def _check_parameter(key: str, pid: str | None) -> None:
+    """Reject a ``potential.params.<name>`` that a known potential does not take."""
+    if pid in potential_ids() and key[len(_PARAM_PREFIX):] not in make_potential(pid).params():
+        raise ValueError(f"{key} is not a parameter of {pid}")
+
+
+# Every key, in the order its checks run (and so the order of its errors), with
+# the ``RunConfig`` field it fills and its parser.  A key ending in ``.`` stands
+# for every key it prefixes, taken in name order.  The fields ``solver``,
+# ``experiment`` and ``potential_params`` collect values under the key's name;
+# a key with no field is checked and dropped.
+_FIELDS = (
+    ("command", "command", _choice(*COMMANDS)),
+    ("mesh.n", "mesh_n", _integer(1)),
+    ("mesh.file", "mesh_file", _text),
+    ("problem.kind", "problem_kind", _choice(*PROBLEM_KINDS)),
+    ("problem.g", "g_text", _expression),
+    ("problem.q", "q_text", _expression),
+    ("problem.b", "b", _number()),
+    ("problem.alpha", "alpha", _number(positive=True)),
+    (_ALPHAS_KEY, "alphas", _positive_numbers),
+    ("potential.id", "potential_id", _text),
+    ("potential.b", "potential_b", _number()),
+    (_PARAM_PREFIX, "potential_params", _number()),
+    ("solver.tol_interior", "solver", _number(positive=True)),
+    ("solver.tol_inclusion", "solver", _number(positive=True)),
+    ("solver.max_iters", "solver", _integer(0)),
+    ("experiment.id", "experiment_id", _choice(*EXPERIMENTS)),
+    ("experiment.alpha_pairs", "experiment", _alpha_pairs),
+    ("experiment.override", "experiment", _flag),
+    ("experiment.rel_target", "experiment", _number()),
+    ("experiment.final_rel_target", "experiment", _number()),
+    ("experiment.rate_lo", "experiment", _number()),
+    ("experiment.rate_hi", "experiment", _number()),
+    ("experiment.ratio_target", "experiment", _number()),
+    ("experiment.ratio_tol", "experiment", _number()),
+    ("experiment.levels", "experiment", _integer(1)),
+    ("experiment.bump", "experiment", _expression),
+    ("experiment.n_list", "experiment", _n_list),
+    ("experiment.workers", None, _workers),
+)
+_KNOWN_KEYS = sorted(key for key, _, _ in _FIELDS if not key.endswith("."))
 
 
 class ConfigError(ValueError):
@@ -150,9 +263,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a flat key/value configuration.
 
     Unknown keys are rejected with the nearest known key suggested; duplicate
-    keys name both offending lines; an ``experiment.*`` key or
-    ``problem.alphas`` that the command and experiment do not read names its
-    line.  All collected errors are raised together as a ``ConfigError``.
+    keys name both offending lines; a potential parameter that the named
+    potential does not take, and an ``experiment.*`` key or ``problem.alphas``
+    that the command and experiment do not read, name their line.  All
+    collected errors are raised together as a ``ConfigError``.
     """
     errors: list[str] = []
     pairs: dict[str, tuple[str, int]] = {}
@@ -171,206 +285,50 @@ def parse_config(text: str) -> RunConfig:
             errors.append(f"duplicate key {key} (lines {pairs[key][1]} and {lineno})")
             continue
         if key not in _KNOWN_KEYS and not key.startswith(_PARAM_PREFIX):
-            nearest = difflib.get_close_matches(key, sorted(_KNOWN_KEYS), n=1)
+            nearest = difflib.get_close_matches(key, _KNOWN_KEYS, n=1)
             hint = f"; did you mean '{nearest[0]}'?" if nearest else ""
             errors.append(f"line {lineno}: unknown key '{key}'{hint}")
             continue
         pairs[key] = (value, lineno)
-    lines = {key: lineno for key, (_, lineno) in pairs.items()}
 
-    def take(key: str) -> tuple[str, int] | None:
-        return pairs.pop(key, None)
+    fields: dict[str, Any] = {
+        "command": "solve", "potential_params": {}, "solver": {}, "experiment": {}
+    }
+    line_of: dict[str, int] = {}
+    for entry, name, parse in _FIELDS:
+        for key in sorted(k for k in pairs if k == entry or entry[-1] == "." and k.startswith(entry)):
+            value, lineno = pairs[key]
+            try:
+                parsed = parse(key, value)
+                if entry == _PARAM_PREFIX:
+                    _check_parameter(key, fields.get("potential_id"))
+            except ValueError as exc:
+                errors.append(f"line {lineno}: {exc}")
+                continue
+            if isinstance(fields.get(name), dict):
+                fields[name][key.split(".", 2)[-1]] = parsed
+            elif name is not None:
+                fields[name], line_of[name] = parsed, lineno
+        # two checks whose errors sit between those of two keys
+        if name == "command" and name not in line_of and not any(name in e for e in errors):
+            errors.append("missing required key 'command'")
+        if name == "mesh_file" and "mesh_n" in line_of and name in line_of:
+            errors.append("mesh.n and mesh.file are mutually exclusive")
+    fields["solver"] = SolverOptions(**fields["solver"])
+    cfg = RunConfig(**fields)
 
-    def take_float(key: str, positive: bool = False) -> float | None:
-        item = take(key)
-        if item is None:
-            return None
-        value, lineno = item
-        try:
-            out = float(value)
-        except ValueError:
-            out = np.nan
-        if not np.isfinite(out):
-            errors.append(f"line {lineno}: {key} must be a finite number, got {value!r}")
-            return None
-        if positive and out <= 0.0:
-            errors.append(f"line {lineno}: {key} must be positive")
-            return None
-        return out
-
-    def take_int(key: str, minimum: int | None = None) -> int | None:
-        item = take(key)
-        if item is None:
-            return None
-        value, lineno = item
-        try:
-            out = int(value)
-        except ValueError:
-            errors.append(f"line {lineno}: {key} must be an integer, got {value!r}")
-            return None
-        if minimum is not None and out < minimum:
-            errors.append(f"line {lineno}: {key} must be at least {minimum}")
-            return None
-        return out
-
-    def take_choice(key: str, choices: tuple[str, ...]) -> tuple[str, int] | None:
-        item = take(key)
-        if item is None:
-            return None
-        value, lineno = item
-        if value not in choices:
-            errors.append(
-                f"line {lineno}: {key} must be one of {', '.join(choices)}; got {value!r}"
-            )
-            return None
-        return value, lineno
-
-    def take_expression(key: str) -> str | None:
-        item = take(key)
-        if item is None:
-            return None
-        value, lineno = item
-        try:
-            compile_expression(value)
-        except ExpressionError as exc:
-            errors.append(f"line {lineno}: {key}: {exc}")
-            return None
-        return value
-
-    def take_floats(key: str, positive: bool = False) -> tuple[float, ...] | None:
-        item = take(key)
-        if item is None:
-            return None
-        value, lineno = item
-        try:
-            out = tuple(float(part) for part in value.split(",") if part.strip())
-        except ValueError:
-            out = (np.nan,)
-        if not out:
-            errors.append(f"line {lineno}: {key} is empty; list at least one number")
-            return None
-        if not np.all(np.isfinite(out)):
-            errors.append(f"line {lineno}: {key} must be comma-separated finite numbers")
-            return None
-        if positive and min(out) <= 0.0:
-            errors.append(f"line {lineno}: {key} must all be positive")
-            return None
-        return out
-
-    command_item = take_choice("command", COMMANDS)
-    if command_item is None and not any("command" in e for e in errors):
-        errors.append("missing required key 'command'")
-    cfg = RunConfig(command=command_item[0] if command_item else "solve")
-
-    cfg.mesh_n = take_int("mesh.n", minimum=1)
-    file_item = take("mesh.file")
-    cfg.mesh_file = file_item[0] if file_item else None
-    if cfg.mesh_n is not None and cfg.mesh_file is not None:
-        errors.append("mesh.n and mesh.file are mutually exclusive")
-
-    kind_item = take_choice("problem.kind", PROBLEM_KINDS)
-    cfg.problem_kind = kind_item[0] if kind_item else None
-
-    g_text = take_expression("problem.g")
-    if g_text is not None:
-        cfg.g_text = g_text
-    q_text = take_expression("problem.q")
-    if q_text is not None:
-        cfg.q_text = q_text
-    b = take_float("problem.b")
-    if b is not None:
-        cfg.b = b
-
-    cfg.alpha = take_float("problem.alpha", positive=True)
-    cfg.alphas = take_floats("problem.alphas", positive=True)
-
-    pid_item = take("potential.id")
-    cfg.potential_id = pid_item[0] if pid_item else None
-    cfg.potential_b = take_float("potential.b")
-    for key in sorted(k for k in pairs if k.startswith(_PARAM_PREFIX)):
-        value = take_float(key)
-        if value is not None:
-            cfg.potential_params[key[len(_PARAM_PREFIX):]] = value
-
-    solver_kwargs: dict[str, object] = {}
-    for name in ("tol_interior", "tol_inclusion"):
-        value = take_float(f"solver.{name}", positive=True)
-        if value is not None:
-            solver_kwargs[name] = value
-    max_iters = take_int("solver.max_iters", minimum=0)
-    if max_iters is not None:
-        solver_kwargs["max_iters"] = max_iters
-    cfg.solver = SolverOptions(**solver_kwargs)  # type: ignore[arg-type]
-
-    exp_item = take_choice("experiment.id", EXPERIMENTS)
-    cfg.experiment_id = exp_item[0] if exp_item else None
-    pairs_item = take("experiment.alpha_pairs")
-    if pairs_item is not None:
-        value, lineno = pairs_item
-        try:
-            parsed_pairs = tuple(
-                tuple(float(x) for x in chunk.split(":")) for chunk in value.split(",")
-            )
-            if any(len(p) != 2 for p in parsed_pairs):
-                raise ValueError
-        except ValueError:
-            errors.append(
-                f"line {lineno}: experiment.alpha_pairs must look like '1:10,10:100'"
-            )
-        else:
-            if all(0 < a1 <= a2 < np.inf for a1, a2 in parsed_pairs):
-                cfg.experiment["alpha_pairs"] = parsed_pairs
-            else:
-                errors.append(
-                    f"line {lineno}: experiment.alpha_pairs must be finite pairs "
-                    f"a1:a2 with 0 < a1 <= a2, got {value!r}"
-                )
-    override = take_choice("experiment.override", ("true", "false"))
-    if override is not None:
-        cfg.experiment["override"] = override[0] == "true"
-    for name in ("rel_target", "final_rel_target", "rate_lo", "rate_hi", "ratio_target", "ratio_tol"):
-        value = take_float(f"experiment.{name}")
-        if value is not None:
-            cfg.experiment[name] = value
-    levels = take_int("experiment.levels", minimum=1)
-    if levels is not None:
-        cfg.experiment["levels"] = levels
-    bump = take_expression("experiment.bump")
-    if bump is not None:
-        cfg.experiment["bump"] = bump
-    n_list_item = take("experiment.n_list")
-    if n_list_item is not None:
-        value, lineno = n_list_item
-        try:
-            n_list = tuple(int(part) for part in value.split(","))
-        except ValueError:
-            errors.append(f"line {lineno}: experiment.n_list must be comma-separated integers")
-        else:
-            if n_list[0] >= 1 and all(a < b for a, b in zip(n_list, n_list[1:])):
-                cfg.experiment["n_list"] = n_list
-            else:
-                errors.append(
-                    f"line {lineno}: experiment.n_list must be increasing integers "
-                    f"of at least 1, got {value!r}"
-                )
-    if take_int("experiment.workers") not in (None, 1):
-        errors.append(
-            f"line {lines['experiment.workers']}: experiment.workers must be 1; "
-            "experiments run sequentially"
-        )
-    if command_item and (cfg.command != "experiment" or cfg.experiment_id):
+    if "command" in line_of and (cfg.command != "experiment" or cfg.experiment_id):
         read = _keys_read(cfg.command, cfg.experiment_id)
         reader = cfg.experiment_id if cfg.command == "experiment" else cfg.command
         errors.extend(
             f"line {lineno}: {key} is not read by {reader}"
-            for key, lineno in lines.items()
-            if (key.startswith("experiment.") or key == "problem.alphas") and key not in read
+            for key, (_, lineno) in pairs.items()
+            if (key.startswith("experiment.") or key == _ALPHAS_KEY) and key not in read
         )
-        rate = [key for key in ("experiment.rate_lo", "experiment.rate_hi") if key in lines]
-        if len(rate) == 1 and rate[0] in read:
-            errors.append(
-                f"line {lines[rate[0]]}: experiment.rate_lo and experiment.rate_hi go together"
-            )
+        rate = [f"experiment.{name}" for name in _PARAM_NAMES["rate_window"]]
+        given = [key for key in rate if key in pairs]
+        if len(given) == 1 and given[0] in read:
+            errors.append(f"line {pairs[given[0]][1]}: {' and '.join(rate)} go together")
 
     # cross-field requirements
     if not errors:
@@ -385,8 +343,8 @@ def parse_config(text: str) -> RunConfig:
                 errors.append("potential.id is required for the multivalued problem kinds")
         if cfg.command == "experiment" and cfg.experiment_id is None:
             errors.append("experiment.id is required for command=experiment")
-        if cfg.command == "experiment" and cfg.experiment_id == "refinement" and kind_item:
-            kind, lineno = kind_item
+        if cfg.command == "experiment" and cfg.experiment_id == "refinement" and cfg.problem_kind:
+            kind, lineno = cfg.problem_kind, line_of["problem_kind"]
             if kind == "robin_lumped":
                 errors.append(
                     f"line {lineno}: the refinement study takes problem.kind dirichlet, "

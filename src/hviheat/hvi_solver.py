@@ -126,9 +126,10 @@ _SPD_SPLU = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 def _bulk_factor(ops: MeshOperators) -> spla.SuperLU:
     """Factorization of the mesh's bulk block, built on first use.
 
-    ``A_bb`` is SPD on a valid connected mesh, where each bulk vertex is
-    joined to G1 or G3, so it is factored in a minimum-degree order of
-    ``A + A^T`` with diagonal pivots, which elimination keeps positive.
+    ``A_bb`` is SPD on a valid mesh: ``validate_mesh`` requires a G1 edge in
+    every connected component, so each bulk vertex is joined to G1 or G3.
+    It is factored in a minimum-degree order of ``A + A^T`` with diagonal
+    pivots, which elimination keeps positive.
     """
     return ops.once(
         "bulk_factor",

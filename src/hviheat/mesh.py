@@ -7,10 +7,11 @@ The boundary of every mesh is split into three tagged portions:
 * ``G3`` -- heat-exchange portion carrying the Robin coefficient or the
   multivalued subdifferential law.
 
-Each portion must be nonempty (it must have positive length).  Meshes are
-immutable after construction (their arrays are read-only copies), but a
-mesh keeps its lazily built operators, so it must not be used from two
-threads at once.
+Each portion must be nonempty (it must have positive length), and every
+connected component of the triangulation must touch G1, so the temperature
+is fixed somewhere in each.  Meshes are immutable after construction (their
+arrays are read-only copies), but a mesh keeps its lazily built operators,
+so it must not be used from two threads at once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from enum import Enum
 from itertools import compress
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "BoundaryTag",
@@ -261,15 +264,26 @@ def validate_mesh(mesh: Mesh) -> list[str]:
                 f"{tag.value} empty: every boundary portion must have positive measure"
             )
 
-    shared = np.intersect1d(
-        mesh.vertices_incident_to(BoundaryTag.GAMMA1),
-        mesh.vertices_incident_to(BoundaryTag.GAMMA3),
-    )
+    g1 = mesh.vertices_incident_to(BoundaryTag.GAMMA1)
+    shared = np.intersect1d(g1, mesh.vertices_incident_to(BoundaryTag.GAMMA3))
     allowed = np.asarray(mesh.interface_vertices, dtype=np.int64)
     for v in np.setdiff1d(shared, allowed):
         report.append(
             f"vertex {int(v)} carries both G1 and G3 tags but is not a declared interface vertex"
         )
+
+    # components of the graph linking each triangle node to its three corner
+    # vertices, each named by its smallest vertex; a vertex in no triangle is
+    # a component of its own
+    nt = len(tris)
+    indptr = np.concatenate([np.zeros(nv, dtype=np.int64), np.arange(0, 3 * nt + 1, 3)])
+    links = sp.csr_matrix((np.ones(3 * nt), tris.ravel(), indptr), shape=(nv + nt, nv + nt))
+    count, labels = connected_components(links, connection="weak")
+    has_g1 = np.zeros(count, dtype=bool)
+    has_g1[labels[g1]] = True
+    smallest = np.sort(np.unique(labels[:nv], return_index=True)[1])
+    for v in smallest[~has_g1[labels[smallest]]]:
+        report.append(f"the connected component of vertex {int(v)} has no G1 edge")
 
     return report
 

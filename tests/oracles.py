@@ -1,8 +1,9 @@
 """Independent reference implementations for the tests.
 
 ``validate_mesh_reference`` is the loop-based mesh validation the library
-replaced with a vectorized one (with the non-finite coordinate check added in
-the same loop style); the tests require identical reports.
+replaced with a vectorized one (with the non-finite coordinate and G1
+connectivity checks added in the same loop style); the tests require
+identical reports.
 ``load_mesh_reference`` is the line-by-line mesh reader the library replaced
 with a bulk one; the tests require equal meshes and identical errors.
 ``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
@@ -103,6 +104,23 @@ def validate_mesh_reference(mesh) -> list[str]:
         report.append(
             f"vertex {v} carries both G1 and G3 tags but is not a declared interface vertex"
         )
+
+    neighbours: dict[int, set[int]] = {v: set() for v in range(nv)}
+    for tri in mesh.triangles:
+        for a in tri:
+            neighbours[int(a)].update(int(b) for b in tri)
+    seen: set[int] = set()
+    for start in range(nv):
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for b in neighbours[stack.pop()] - component:
+                component.add(b)
+                stack.append(b)
+        seen |= component
+        if not component & g1:
+            report.append(f"the connected component of vertex {start} has no G1 edge")
 
     return report
 

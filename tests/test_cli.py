@@ -84,6 +84,8 @@ class TestParseConfig:
             ("problem.alphas = 1,nan", "problem.alphas must be comma-separated finite numbers"),
             ("experiment.rel_target = -inf", "experiment.rel_target must be a finite number"),
             ("potential.params.beta = nan", "potential.params.beta must be a finite number"),
+            ("potential.params.foo = 2", "potential.params.foo is not a parameter of quadratic"),
+            ("potential.params.b = 1", "potential.params.b is not a parameter of quadratic"),
             (
                 "experiment.alpha_pairs = nan:10",
                 "experiment.alpha_pairs must be finite pairs a1:a2 with 0 < a1 <= a2, got 'nan:10'",
@@ -182,6 +184,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment.id"):
             parse_config(text)
 
+    def test_errors_come_in_check_order(self):
+        # error.json lists the messages in this order: line syntax, duplicate
+        # and unknown keys in line order, then each key's checks in table
+        # order, then keys the run does not read
+        text = (
+            "command = solve\nmesh.n = 4\nmesh.file = square.mesh\nproblem.alpah = 1\n"
+            "mesh.n = 3\nproblem.g = x +\npotential.id = quadratic\n"
+            "potential.params.k1 = 2\nexperiment.rel_target = 3\nsolver.max_iters = -1\n"
+            "no equals sign\n"
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.errors == (
+            "line 4: unknown key 'problem.alpah'; did you mean 'problem.alpha'?",
+            "duplicate key mesh.n (lines 2 and 5)",
+            "line 11: expected 'section.key = value'",
+            "mesh.n and mesh.file are mutually exclusive",
+            "line 6: problem.g: unexpected token None (at position 3)",
+            "line 8: potential.params.k1 is not a parameter of quadratic",
+            "line 10: solver.max_iters must be at least 0",
+            "line 9: experiment.rel_target is not read by solve",
+        )
+
     def test_solver_options_and_params_forwarded(self):
         text = (
             MINIMAL
@@ -191,7 +216,8 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="potential.id2"):
             parse_config(text)
         cfg = parse_config(
-            MINIMAL + "solver.max_iters = 77\npotential.params.k1 = 2\n"
+            MINIMAL.replace("quadratic", "min_quadratics")
+            + "solver.max_iters = 77\npotential.params.k1 = 2\n"
         )
         assert cfg.solver.max_iters == 77
         assert cfg.potential_params == {"k1": 2.0}

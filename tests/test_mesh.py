@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hviheat.cli import main
 from hviheat.mesh import (
     BoundaryTag,
     Mesh,
@@ -131,6 +134,51 @@ def test_validate_non_finite_vertex():
         "vertex 4 has non-finite coordinates",
         "vertex 7 has non-finite coordinates",
     ]
+
+
+def _beside_an_island(retag) -> Mesh:
+    """An n=2 unit square with a disjoint copy at x + 2 whose tags are retagged."""
+    m = generate_unit_square_mesh(2)
+    nv = m.num_vertices
+    return Mesh(
+        np.vstack([m.vertices, m.vertices + (2.0, 0.0)]),
+        np.vstack([m.triangles, m.triangles + nv]),
+        np.vstack([m.boundary_edges, m.boundary_edges + nv]),
+        m.boundary_tags + tuple(retag(t) for t in m.boundary_tags),
+    )
+
+
+def _with_stray_vertex() -> Mesh:
+    m = generate_unit_square_mesh(2)
+    return Mesh(np.vstack([m.vertices, [(2.0, 2.0)]]), m.triangles, m.boundary_edges, m.boundary_tags)
+
+
+# Each of these breaks the solvers: A_bb is singular on the G2-only island
+# and at the stray vertex, and the coercivity estimate cannot converge with
+# no Dirichlet edge on the G3 island.
+MESHES_WITHOUT_G1 = {
+    "g2_island": lambda: _beside_an_island(lambda t: BoundaryTag.GAMMA2),
+    "g3_island": lambda: _beside_an_island(
+        lambda t: BoundaryTag.GAMMA3 if t == BoundaryTag.GAMMA1 else t
+    ),
+    "stray_vertex": _with_stray_vertex,
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESHES_WITHOUT_G1))
+def test_component_without_g1_is_reported_and_a_mesh_file_exits_2(tmp_path, name):
+    mesh = MESHES_WITHOUT_G1[name]()
+    expected = "the connected component of vertex 9 has no G1 edge"
+    assert validate_mesh(mesh) == validate_mesh_reference(mesh) == [expected]
+    path = tmp_path / "island.mesh"
+    path.write_text(save_mesh(mesh))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"command = solve\nmesh.file = {path}\nproblem.kind = dirichlet\n")
+    assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    payload = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert (payload["error"], payload["message"]) == (
+        "ConfigError", f"mesh file {path}: {expected}"
+    )
 
 
 def test_mesh_arrays_are_read_only_copies():
