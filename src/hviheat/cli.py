@@ -77,14 +77,29 @@ _ALPHAS_KEY = "problem.alphas"
 _PARAM_PREFIX = "potential.params."
 
 
-def _keys_read(command: str, experiment_id: str | None) -> set[str]:
-    """The ``experiment.*`` keys and ``problem.alphas`` that a run reads."""
-    names = {"workers"}
-    if command == "experiment":
-        names.update(("id", *_CLI_NAMES.get(experiment_id, ())))
-        for name in _EXPERIMENTS[experiment_id][1]:
-            names.update(_PARAM_NAMES.get(name, (name,)))
-    return {_ALPHAS_KEY if name == "alphas" else f"experiment.{name}" for name in names}
+def _keys_read(command: str, experiment_id: str | None, kind: str) -> set[str]:
+    """The keys that a run reads; ``potential.params.`` stands for every parameter key.
+
+    ``check-potential`` reads the potential and ``problem.b``, its default
+    anchor.  A solve reads the potential only for the multivalued kinds, and
+    of the experiments ``linear_theorem`` never reads it; ``problem.kind`` is
+    read by a solve and by ``refinement``.
+    """
+    read = {"command", "problem.b", "experiment.workers"}
+    potential = {"potential.id", "potential.b", _PARAM_PREFIX}
+    if command == "check-potential":
+        return read | potential
+    read.update(key for key in _KNOWN_KEYS if key.startswith(("mesh.", "solver.")))
+    read.update(("problem.g", "problem.q", "problem.alpha"))
+    if command == "solve":
+        return read | {"problem.kind"} | (potential if kind in ("hvi", "vi") else set())
+    names = {"id", *_CLI_NAMES.get(experiment_id, ())}
+    for name in _EXPERIMENTS[experiment_id][1]:
+        names.update(_PARAM_NAMES.get(name, (name,)))
+    read.update(_ALPHAS_KEY if name == "alphas" else f"experiment.{name}" for name in names)
+    if experiment_id == "refinement":
+        read.add("problem.kind")
+    return read if experiment_id == "linear_theorem" else read | potential
 
 
 # Parsers: ``(key, value) -> parsed``, raising ``ValueError`` with the message
@@ -264,9 +279,9 @@ def parse_config(text: str) -> RunConfig:
 
     Unknown keys are rejected with the nearest known key suggested; duplicate
     keys name both offending lines; a potential parameter that the named
-    potential does not take, and an ``experiment.*`` key or ``problem.alphas``
-    that the command and experiment do not read, name their line.  All
-    collected errors are raised together as a ``ConfigError``.
+    potential does not take, and a key that the run does not read (see
+    ``_keys_read``), name their line.  All collected errors are raised
+    together as a ``ConfigError``.
     """
     errors: list[str] = []
     pairs: dict[str, tuple[str, int]] = {}
@@ -317,13 +332,16 @@ def parse_config(text: str) -> RunConfig:
     fields["solver"] = SolverOptions(**fields["solver"])
     cfg = RunConfig(**fields)
 
+    kind = cfg.problem_kind or ("hvi" if cfg.potential_id else "robin")  # a solve's kind
     if "command" in line_of and (cfg.command != "experiment" or cfg.experiment_id):
-        read = _keys_read(cfg.command, cfg.experiment_id)
+        read = _keys_read(cfg.command, cfg.experiment_id, kind)
         reader = cfg.experiment_id if cfg.command == "experiment" else cfg.command
+        if cfg.command == "solve" and cfg.problem_kind:
+            reader += f" with problem.kind = {kind}"
         errors.extend(
             f"line {lineno}: {key} is not read by {reader}"
             for key, (_, lineno) in pairs.items()
-            if (key.startswith("experiment.") or key == _ALPHAS_KEY) and key not in read
+            if (_PARAM_PREFIX if key.startswith(_PARAM_PREFIX) else key) not in read
         )
         rate = [f"experiment.{name}" for name in _PARAM_NAMES["rate_window"]]
         given = [key for key in rate if key in pairs]
@@ -335,7 +353,6 @@ def parse_config(text: str) -> RunConfig:
         if cfg.command in ("solve", "experiment") and cfg.mesh_n is None and cfg.mesh_file is None:
             errors.append("either mesh.n or mesh.file is required")
         if cfg.command == "solve":
-            kind = cfg.problem_kind or ("hvi" if cfg.potential_id else "robin")
             cfg.problem_kind = kind
             if cfg.alpha is None and kind != "dirichlet":
                 errors.append("problem.alpha is required for this problem kind")

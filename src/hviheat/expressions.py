@@ -2,7 +2,9 @@
 
 The grammar covers exactly what the run configurations need: numeric
 literals, the coordinates ``x`` and ``y``, the four arithmetic operators,
-right-associative ``**``, unary sign, parentheses, and ``exp(...)``.  The
+right-associative ``**``, unary sign, parentheses, and ``exp(...)``.  As in
+Python, ``**`` binds tighter than a sign on its left, so ``-x**2`` is
+``-(x**2)``, and its exponent may carry a sign (``2**-1``).  The
 compiled callable broadcasts over numpy arrays.  No ``eval`` involved.
 """
 
@@ -77,27 +79,18 @@ def compile_expression(text: str) -> Callable[[np.ndarray, np.ndarray], np.ndarr
                 return node
 
     def parse_term():
-        node = parse_power()
+        node = parse_unary()
         while True:
             kind, value, pos = peek()
             if kind == "op" and value in "*/":
                 advance()
-                rhs = parse_power()
+                rhs = parse_unary()
                 if value == "*":
                     node = (lambda a, b: (lambda x, y: a(x, y) * b(x, y)))(node, rhs)
                 else:
                     node = (lambda a, b: (lambda x, y: a(x, y) / b(x, y)))(node, rhs)
             else:
                 return node
-
-    def parse_power():
-        base = parse_unary()
-        kind, value, _ = peek()
-        if kind == "op" and value == "**":
-            advance()
-            exponent = parse_power()  # right associative
-            return (lambda a, b: (lambda x, y: a(x, y) ** b(x, y)))(base, exponent)
-        return base
 
     def parse_unary():
         kind, value, _ = peek()
@@ -107,7 +100,16 @@ def compile_expression(text: str) -> Callable[[np.ndarray, np.ndarray], np.ndarr
             if value == "-":
                 return (lambda a: (lambda x, y: -a(x, y)))(inner)
             return inner
-        return parse_atom()
+        return parse_power()
+
+    def parse_power():  # binds tighter than a sign on its left, as in Python
+        base = parse_atom()
+        kind, value, _ = peek()
+        if kind == "op" and value == "**":
+            advance()
+            exponent = parse_unary()  # right associative, and may carry a sign
+            return (lambda a, b: (lambda x, y: a(x, y) ** b(x, y)))(base, exponent)
+        return base
 
     def parse_atom():
         kind, value, pos = advance()

@@ -6,9 +6,12 @@ the exchange portion G3.  For scalar functions the subdifferential at a point
 is a closed interval of limiting slopes, and the generalized directional
 derivative satisfies the max formula
 
-    j0(r; s) = max{ zeta * s : zeta in dj(r) },
+    j0(r; s) = max{ zeta * s : zeta in dj(r) }.
 
-which every built-in realizes exactly from its closed-form interval.
+Every built-in is piecewise smooth, and its sorted kinks and smooth pieces
+give its value, its curvature and its subdifferential: for a piecewise-C1
+function of one variable that is the interval between the one-sided
+derivatives (Clarke, *Optimization and Nonsmooth Analysis*, 1983).
 
 Built-ins (all anchored at a datum ``b``):
 
@@ -26,8 +29,9 @@ Built-ins (all anchored at a datum ``b``):
 ``abs``
     ``|r-b|``; convex kink at the anchor.
 
-Extras without hypothesis guarantees: ``tresca`` (``|r|``), ``quintic_ramp``
-(one-sided quintic), ``power_ramp`` (one-sided 9/4 power).
+Extras without hypothesis guarantees: ``tresca`` (``|r|``, ``abs`` with its
+kink at 0), ``quintic_ramp`` (one-sided quintic), ``power_ramp`` (one-sided
+9/4 power).
 
 The ``check_*`` functions probe the standing hypotheses on finite sample
 grids; the conditions are universally quantified over the real line, so a
@@ -37,6 +41,7 @@ offset) is used to cover the piecewise structure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -98,13 +103,21 @@ def _root_from_above(h, dh, x: float) -> float:
 
 
 class Potential:
-    """Base class: closed-form value, interval subdifferential, and j0.
+    """Base class: a piecewise-smooth ``j`` given by its kinks and smooth pieces.
 
-    Subclasses implement ``value_array`` and ``subdiff_bounds`` (vectorized)
-    plus ``slope``, ``breakpoints`` and ``prox``.  ``slope`` is the branch
-    curvature: the second derivative of the smooth piece of ``j`` containing
-    ``r``, and 0 at breakpoints; the solver's Newton step uses it and it never
-    affects the computed subdifferential itself.
+    A built-in states its sorted kinks once, in ``breakpoints``, and the
+    value, derivative and curvature of its ``i``-th smooth piece (the one
+    between kinks ``i-1`` and ``i``) in ``_piece(i, r)``.  Everything else
+    follows from these two.  ``value_array`` evaluates the piece holding
+    ``r``, the right-hand one on a kink.  ``subdiff_bounds`` is the Clarke
+    subdifferential of a piecewise-C1 function of one variable: the interval
+    between the left-hand and right-hand piece derivatives, a single point
+    off the kinks.  ``slope`` is the curvature of the piece holding ``r``
+    and 0 on a kink; the solver's Newton step uses it and it never affects
+    the subdifferential.  ``prox`` is a closed form in each class.
+
+    A potential used only by the hypothesis checks may instead override
+    ``value_array`` and ``subdiff_bounds`` directly.
     """
 
     id: str = "custom"
@@ -116,24 +129,49 @@ class Potential:
     def __init__(self, b: float = 0.0):
         self.b = float(b)
 
-    # -- required surface --------------------------------------------------
-
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def slope(self, r: float) -> float:
-        return 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return ()
 
     def params(self) -> dict[str, float]:
         return {}
 
+    def _piece(self, i: int, r):
+        """``(value, derivative, curvature)`` of the ``i``-th smooth piece at ``r``."""
+        raise NotImplementedError
+
+    def _on_pieces(self, piece: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+        """Entry ``k`` of ``_piece(piece[m], r[m])`` at every ``m``."""
+        out = np.empty_like(r)
+        for i in range(len(self.breakpoints()) + 1):
+            at = piece == i
+            if np.count_nonzero(at):
+                out[at] = self._piece(i, r[at])[k]
+        return out
+
     # -- derived operations --------------------------------------------------
+
+    def value_array(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        return self._on_pieces(np.array(self.breakpoints()).searchsorted(r, side="right"), r, 0)
+
+    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = np.asarray(r, dtype=float)
+        kinks = np.array(self.breakpoints())
+        left, right = kinks.searchsorted(r, side="left"), kinks.searchsorted(r, side="right")
+        lo = self._on_pieces(right, r, 1)
+        hi = lo.copy()
+        on = left != right  # on a kink the left-hand piece's slope joins in
+        if np.count_nonzero(on):
+            slopes = self._on_pieces(left[on], r[on], 1)
+            lo[on], hi[on] = np.minimum(slopes, lo[on]), np.maximum(slopes, hi[on])
+        return lo, hi
+
+    def slope(self, r: float) -> float:
+        kinks = self.breakpoints()
+        i = bisect.bisect_left(kinks, r)
+        if i < len(kinks) and kinks[i] == r:
+            return 0.0
+        return float(self._piece(i, r)[2])
 
     def value(self, r: float) -> float:
         return float(self.value_array(np.asarray([r], dtype=float))[0])
@@ -186,37 +224,15 @@ class ExpQuadraticPotential(Potential):
         self.c0 = 1.0 + 2.0 * abs(self.b)
         self.c1 = 2.0
 
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        d = r - self.b
-        out = np.empty_like(d)
-        left = d < 0.0
-        out[left] = d[left] ** 2
-        out[~left] = -np.expm1(-d[~left])
-        return out
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = r - self.b
-        lo = np.empty_like(d)
-        hi = np.empty_like(d)
-        left = d < 0.0
-        right = d > 0.0
-        at = ~(left | right)
-        lo[left] = hi[left] = 2.0 * d[left]
-        lo[right] = hi[right] = np.exp(-d[right])
-        lo[at] = 0.0
-        hi[at] = 1.0
-        return lo, hi
-
-    def slope(self, r: float) -> float:
-        d = r - self.b
-        if d < 0.0:
-            return 2.0
-        if d > 0.0:
-            return -float(np.exp(-d))
-        return 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b,)
+
+    def _piece(self, i: int, r):
+        d = r - self.b
+        if i == 0:
+            return d**2, 2.0 * d, 2.0
+        e = np.exp(-d)
+        return -np.expm1(-d), e, -e
 
     def prox(self, z: float, tau: float) -> float:
         b, w = self.b, z - self.b
@@ -238,11 +254,13 @@ class ExpQuadraticPotential(Potential):
 class MinQuadraticsPotential(Potential):
     """Pointwise minimum of two convex parabolas stationary at the anchor.
 
-    ``j(r) = min(k1/2 (r-b)^2 + c1, k2/2 (r-b)^2 + c2)``.  Where the graphs
-    cross, the subdifferential is taken as the convex hull of the two branch
-    slopes; at every other point it is the slope of the active branch.  With
-    two crossings the function is nonconvex and has no finite
-    relaxed-monotonicity constant (the subgradient jumps downward).
+    ``j(r) = min(k1/2 (r-b)^2 + c1, k2/2 (r-b)^2 + c2)``.  When the graphs
+    cross, the steeper parabola is the piece between the two crossings and
+    the flatter one the pieces outside them, so the subdifferential at a
+    crossing is the hull of the two slopes.  With two crossings the function
+    is nonconvex and has no finite relaxed-monotonicity constant (the
+    subgradient jumps downward); otherwise the parabola that is lower
+    everywhere is the only piece.
     """
 
     id = "min_quadratics"
@@ -255,43 +273,27 @@ class MinQuadraticsPotential(Potential):
         self.off1, self.off2 = float(c1), float(c2)
         self.c0 = max(self.k1, self.k2) * abs(self.b)
         self.c1 = max(self.k1, self.k2)
+        # the flatter parabola (the lower one, on equal curvature) wins far out
+        self._outer, self._inner = sorted([(self.k1, self.off1), (self.k2, self.off2)])
+        self._rho = None
         if self.k1 != self.k2:
             rho2 = 2.0 * (self.off2 - self.off1) / (self.k1 - self.k2)
             self._rho = float(np.sqrt(rho2)) if rho2 > 0.0 else None
-        else:
-            self._rho = None
         self.convex = self._rho is None  # one branch wins everywhere
         self.m_j = 0.0 if self.convex else None
 
     def params(self) -> dict[str, float]:
         return {"k1": self.k1, "c1": self.off1, "k2": self.k2, "c2": self.off2}
 
-    def _branches(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return 0.5 * self.k1 * d**2 + self.off1, 0.5 * self.k2 * d**2 + self.off2
-
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        j1, j2 = self._branches(r - self.b)
-        return np.minimum(j1, j2)
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = r - self.b
-        j1, j2 = self._branches(d)
-        s1, s2 = self.k1 * d, self.k2 * d
-        lo = np.where(j1 < j2, s1, np.where(j2 < j1, s2, np.minimum(s1, s2)))
-        hi = np.where(j1 < j2, s1, np.where(j2 < j1, s2, np.maximum(s1, s2)))
-        return lo, hi
-
-    def slope(self, r: float) -> float:
-        d = r - self.b
-        j1, j2 = self._branches(np.asarray([d]))
-        if j1[0] == j2[0]:
-            return 0.0
-        return self.k1 if j1[0] < j2[0] else self.k2
-
     def breakpoints(self) -> tuple[float, ...]:
         if self._rho is None:
             return ()
         return (self.b - self._rho, self.b + self._rho)
+
+    def _piece(self, i: int, r):
+        k, c = self._inner if i == 1 else self._outer
+        d = r - self.b
+        return 0.5 * k * d**2 + c, k * d, k
 
     def prox(self, z: float, tau: float) -> float:
         # min over t of 1/2 (t-z)^2 + tau min(j1, j2) is the smaller of the
@@ -315,15 +317,9 @@ class QuadraticPotential(Potential):
         self.c0 = abs(self.b)
         self.c1 = 1.0
 
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        return 0.5 * (r - self.b) ** 2
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _piece(self, i: int, r):
         d = r - self.b
-        return d, d.copy()
-
-    def slope(self, r: float) -> float:
-        return 1.0
+        return 0.5 * d**2, d, 1.0
 
     def prox(self, z: float, tau: float) -> float:
         return (z + tau * self.b) / (1.0 + tau)
@@ -352,39 +348,15 @@ class TruncatedQuadraticPotential(Potential):
     def params(self) -> dict[str, float]:
         return {"m1": self.m1, "m2": self.m2, "r0": self.r0}
 
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        d = r - self.b
-        r0, m1, m2 = self.r0, self.m1, self.m2
-        out = 0.5 * d**2
-        low = d < -r0
-        high = d > r0
-        out[low] = 0.5 * r0**2 + m1 * (d[low] + r0)
-        out[high] = 0.5 * r0**2 + m2 * (d[high] - r0)
-        return out
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = r - self.b
-        r0, m1, m2 = self.r0, self.m1, self.m2
-        lo = np.clip(d, m1, m2)
-        hi = lo.copy()
-        lo = np.where(d < -r0, m1, lo)
-        hi = np.where(d < -r0, m1, hi)
-        lo = np.where(d > r0, m2, lo)
-        hi = np.where(d > r0, m2, hi)
-        at_lo = d == -r0
-        lo = np.where(at_lo, m1, lo)
-        hi = np.where(at_lo, -r0, hi)
-        at_hi = d == r0
-        lo = np.where(at_hi, r0, lo)
-        hi = np.where(at_hi, m2, hi)
-        return lo, hi
-
-    def slope(self, r: float) -> float:
-        d = r - self.b
-        return 1.0 if -self.r0 < d < self.r0 else 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b - self.r0, self.b + self.r0)
+
+    def _piece(self, i: int, r):
+        d = r - self.b
+        if i == 1:
+            return 0.5 * d**2, d, 1.0
+        m, edge = (self.m1, -self.r0) if i == 0 else (self.m2, self.r0)
+        return 0.5 * self.r0**2 + m * (d - edge), m, 0.0
 
     def prox(self, z: float, tau: float) -> float:
         b, r0, m1, m2 = self.b, self.r0, self.m1, self.m2
@@ -405,64 +377,36 @@ class AbsPotential(Potential):
     id = "abs"
     convex = True
     m_j = 0.0
+    c0 = 1.0
     c1 = 0.0
-
-    def __init__(self, b: float = 0.0):
-        super().__init__(b)
-        self.c0 = 1.0
-
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        return np.abs(r - self.b)
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = r - self.b
-        lo = np.where(d < 0.0, -1.0, np.where(d > 0.0, 1.0, -1.0))
-        hi = np.where(d < 0.0, -1.0, np.where(d > 0.0, 1.0, 1.0))
-        return lo.astype(float), hi.astype(float)
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b,)
 
+    def _piece(self, i: int, r):
+        return np.abs(r - self.breakpoints()[0]), (1.0 if i else -1.0), 0.0
+
     def prox(self, z: float, tau: float) -> float:
-        d = z - self.b
-        if d > tau:
+        kink = self.breakpoints()[0]
+        if z - kink > tau:
             return z - tau
-        if d < -tau:
+        if z - kink < -tau:
             return z + tau
-        return self.b
+        return kink
 
 
-class TrescaPotential(Potential):
+class TrescaPotential(AbsPotential):
     """``|r|`` regardless of the anchor; a friction-type flux potential.
 
-    The anchor ``b`` is kept only so the hypothesis checkers know which datum
-    the boundary condition pairs it with; the sign condition generally fails
-    for ``b != 0``.
+    This is ``abs`` with its kink at 0.  The anchor ``b`` is kept only so the
+    hypothesis checkers know which datum the boundary condition pairs it
+    with; the sign condition generally fails for ``b != 0``.
     """
 
     id = "tresca"
-    convex = True
-    m_j = 0.0
-    c0 = 1.0
-    c1 = 0.0
-
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        return np.abs(r)
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.where(r < 0.0, -1.0, np.where(r > 0.0, 1.0, -1.0))
-        hi = np.where(r < 0.0, -1.0, np.where(r > 0.0, 1.0, 1.0))
-        return lo.astype(float), hi.astype(float)
 
     def breakpoints(self) -> tuple[float, ...]:
         return (0.0,)
-
-    def prox(self, z: float, tau: float) -> float:
-        if z > tau:
-            return z - tau
-        if z < -tau:
-            return z + tau
-        return 0.0
 
 
 class QuinticRampPotential(Potential):
@@ -475,6 +419,7 @@ class QuinticRampPotential(Potential):
     id = "quintic_ramp"
     convex = True
     m_j = 0.0
+    power = 5.0
 
     def __init__(self, b: float = 0.0, beta: float = 1.0, c: float = 0.0):
         super().__init__(b)
@@ -486,69 +431,42 @@ class QuinticRampPotential(Potential):
     def params(self) -> dict[str, float]:
         return {"beta": self.beta, "c": self.c}
 
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        d = np.maximum(r - self.c, 0.0)
-        return self.beta * d**5
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = np.maximum(r - self.c, 0.0)
-        s = 5.0 * self.beta * d**4
-        return s, s.copy()
-
-    def slope(self, r: float) -> float:
-        d = r - self.c
-        return float(20.0 * self.beta * d**3) if d > 0.0 else 0.0
-
     def breakpoints(self) -> tuple[float, ...]:
         return (self.c,)
 
+    def _piece(self, i: int, r):
+        if i == 0:
+            return 0.0, 0.0, 0.0
+        p, d, beta = self.power, r - self.c, self.beta
+        return beta * d**p, p * beta * d ** (p - 1.0), p * (p - 1.0) * beta * d ** (p - 2.0)
+
     def prox(self, z: float, tau: float) -> float:
-        w = z - self.c
+        p, w = self.power, z - self.c
         if w <= 0.0:
             return z
-        a = 5.0 * tau * self.beta
-        d = _root_from_above(lambda d: d + a * d**4 - w, lambda d: 1.0 + 4.0 * a * d**3,
-                             min(w, (w / a) ** 0.25))
+        a = p * tau * self.beta
+        d = _root_from_above(
+            lambda d: d + a * d ** (p - 1.0) - w,
+            lambda d: 1.0 + (p - 1.0) * a * d ** (p - 2.0),
+            min(w, (w / a) ** (1.0 / (p - 1.0))),
+        )
         return self.c + d
 
 
-class PowerRampPotential(Potential):
-    """One-sided power law ``beta r^{9/4}`` for ``r >= 0``, zero below."""
+class PowerRampPotential(QuinticRampPotential):
+    """One-sided power law ``beta r^{9/4}`` for ``r >= 0``, zero below.
+
+    The quintic ramp's law with power 9/4 and its kink at 0.
+    """
 
     id = "power_ramp"
-    convex = True
-    m_j = 0.0
+    power = 2.25
 
     def __init__(self, b: float = 0.0, beta: float = 1.0):
-        super().__init__(b)
-        if beta <= 0.0:
-            raise ValueError("beta must be positive")
-        self.beta = float(beta)
+        super().__init__(b, beta)
 
     def params(self) -> dict[str, float]:
         return {"beta": self.beta}
-
-    def value_array(self, r: np.ndarray) -> np.ndarray:
-        d = np.maximum(r, 0.0)
-        return self.beta * d ** 2.25
-
-    def subdiff_bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        d = np.maximum(r, 0.0)
-        s = 2.25 * self.beta * d ** 1.25
-        return s, s.copy()
-
-    def slope(self, r: float) -> float:
-        return float(2.25 * 1.25 * self.beta * r**0.25) if r > 0.0 else 0.0
-
-    def breakpoints(self) -> tuple[float, ...]:
-        return (0.0,)
-
-    def prox(self, z: float, tau: float) -> float:
-        if z <= 0.0:
-            return z
-        a = 2.25 * tau * self.beta
-        return _root_from_above(lambda d: d + a * d**1.25 - z, lambda d: 1.0 + 1.25 * a * d**0.25,
-                                min(z, (z / a) ** 0.8))
 
 
 _BUILTINS = (

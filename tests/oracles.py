@@ -321,6 +321,26 @@ def min_quadratics_table(
     return lo, hi, max(lo * (b - r), hi * (b - r))
 
 
+def tresca_table(b: float, r: float) -> tuple[float, float, float]:
+    """``|r|``: the kink sits at 0 whatever the anchor ``b``."""
+    if r < 0.0:
+        return -1.0, -1.0, r - b
+    if r == 0.0:
+        return -1.0, 1.0, abs(b - r)
+    return 1.0, 1.0, b - r
+
+
+def ramp_table(
+    b: float, beta: float, c: float, power: float, r: float
+) -> tuple[float, float, float]:
+    """``beta (r-c)^power`` right of ``c``, zero left of it."""
+    if r <= c:
+        return 0.0, 0.0, 0.0
+    # numpy's array power, as the solvers evaluate it
+    s = power * beta * float(np.power(np.array([r - c]), power - 1.0)[0])
+    return s, s, s * (b - r)
+
+
 def prox_reference(p, z: float, tau: float, num: int = 100_001) -> tuple[float, float]:
     """Grid minimizer of ``1/2 (t-z)^2 + tau j(t)`` and its energy.
 

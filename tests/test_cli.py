@@ -51,6 +51,14 @@ class TestExpressions:
     def test_division(self):
         assert compile_expression("x/4")(2.0, 0.0) == 0.5
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [("-x**2", -9.0), ("-2**2", -4.0), ("2**-1", 0.5), ("2**3**2", 512.0), ("(-2)**2", 4.0)],
+    )
+    def test_power_binds_tighter_than_unary_minus(self, text, value):
+        # Python's rule: a sign applies to the whole power, and an exponent may carry one
+        assert compile_expression(text)(3.0, 0.0) == value
+
     @pytest.mark.parametrize("bad", ["z + 1", "x +", "(x", "x @ y", "", "sin(x)"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ExpressionError):
@@ -147,6 +155,8 @@ class TestParseConfig:
                 "experiment.rate_hi = 2",
                 "experiment.rate_lo and experiment.rate_hi go together",
             ),
+            ("linear_theorem", "potential.id = abs", "potential.id is not read by linear_theorem"),
+            ("comparison", "problem.kind = robin", "problem.kind is not read by comparison"),
         ],
     )
     def test_experiment_setting_it_cannot_run_exits_2_naming_the_line(
@@ -158,6 +168,31 @@ class TestParseConfig:
         payload = json.loads((tmp_path / "out" / "error.json").read_text())
         assert payload["error"] == "ConfigError"
         assert f"line 4: {message}" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "head,line,message",
+        [
+            ("solve\nproblem.kind = robin", "potential.id = abs",
+             "potential.id is not read by solve with problem.kind = robin"),
+            ("solve\nproblem.kind = dirichlet", "potential.b = 2",
+             "potential.b is not read by solve with problem.kind = dirichlet"),
+            ("solve\nproblem.kind = robin_lumped", "potential.params.k1 = 2",
+             "potential.params.k1 is not read by solve with problem.kind = robin_lumped"),
+            ("check-potential\npotential.id = abs", "mesh.n = 4", "mesh.n is not read by check-potential"),
+            ("check-potential\npotential.id = abs", "solver.max_iters = 3",
+             "solver.max_iters is not read by check-potential"),
+            ("check-potential\npotential.id = abs", "problem.alpha = 1",
+             "problem.alpha is not read by check-potential"),
+        ],
+    )
+    def test_key_the_run_does_not_read_exits_2_naming_the_line(self, tmp_path, head, line, message):
+        command = head.split("\n")[0]
+        config = tmp_path / "run.cfg"
+        config.write_text(f"command = {head}\n{line}\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == f"line 3: {message}"
 
     def test_duplicate_key_names_both_lines(self):
         text = "command = solve\nmesh.n = 4\nproblem.alpha = 1\nmesh.n = 8\n"
@@ -409,14 +444,16 @@ LIBRARY_CALLS = {
 }
 DEFAULTS_CONFIG = (
     "command = experiment\nmesh.n = 6\nproblem.g = -1\nproblem.q = 0.5\nproblem.b = 1\n"
-    "problem.alpha = 2\npotential.id = truncated_quadratic\n"
+    "problem.alpha = 2\n"
 )
 
 
 class TestExperimentDefaults:
     @pytest.mark.parametrize("exp", EXPERIMENTS)
     def test_cli_and_library_share_one_set_of_defaults(self, tmp_path, exp):
-        status = run(parse_config(DEFAULTS_CONFIG + f"experiment.id = {exp}\n"), tmp_path)
+        # linear_theorem reads no potential, so its config names none
+        potential = "" if exp == "linear_theorem" else "potential.id = truncated_quadratic\n"
+        status = run(parse_config(DEFAULTS_CONFIG + potential + f"experiment.id = {exp}\n"), tmp_path)
         assert status in (0, 1), (tmp_path / "error.json").read_text()
         m = generate_unit_square_mesh(6)
         data = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=2.0)

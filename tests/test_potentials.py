@@ -31,6 +31,8 @@ from oracles import (
     min_quadratics_table,
     prox_reference,
     quadratic_table,
+    ramp_table,
+    tresca_table,
     truncated_quadratic_table,
 )
 
@@ -164,11 +166,55 @@ def test_min_quadratics_table_conformance():
     )
 
 
+def test_tresca_table_conformance():
+    b = 0.75
+    assert_table_conformance(TrescaPotential(b=b), lambda r: tresca_table(b, r))
+
+
+def test_quintic_ramp_table_conformance():
+    b, beta, c = 0.5, 2.0, 0.3
+    assert_table_conformance(
+        QuinticRampPotential(b=b, beta=beta, c=c), lambda r: ramp_table(b, beta, c, 5.0, r)
+    )
+
+
+def test_power_ramp_table_conformance():
+    b, beta = -0.25, 0.5
+    assert_table_conformance(
+        PowerRampPotential(b=b, beta=beta), lambda r: ramp_table(b, beta, 0.0, 2.25, r)
+    )
+
+
 def test_min_quadratics_hull_at_crossings():
     p = MinQuadraticsPotential(b=1.0)  # parabolas cross at b -/+ 1
     assert p.subdiff(2.0) == Interval(1.0, 3.0)
     assert p.subdiff(0.0) == Interval(-3.0, -1.0)
     assert p.breakpoints() == (0.0, 2.0)
+
+
+def test_min_quadratics_hull_at_inexact_crossings():
+    # the parabolas cross at b -/+ sqrt(0.7), which no double represents; at
+    # each crossing the subdifferential is still the hull of both slopes
+    p = MinQuadraticsPotential(b=0.0, c2=-0.7)
+    assert len(p.breakpoints()) == 2
+    for bp in p.breakpoints():
+        d = bp - p.b
+        assert p.subdiff(bp) == Interval(min(p.k1 * d, p.k2 * d), max(p.k1 * d, p.k2 * d))
+        assert p.slope(bp) == 0.0
+
+
+@pytest.mark.parametrize("pid", ALL_IDS)
+def test_slope_is_the_curvature_off_the_kinks_and_zero_on_them(pid):
+    p = make_potential(pid, b=0.4)
+    h = 1e-3
+    kinks = np.asarray(p.breakpoints())
+    for r in np.linspace(-2.5, 2.5, 41):
+        if np.any(np.abs(kinks - r) <= 2.0 * h):
+            continue
+        second = (p.value(r + h) - 2.0 * p.value(r) + p.value(r - h)) / h**2
+        assert p.slope(float(r)) == pytest.approx(second, rel=1e-5, abs=1e-5), r
+    for bp in p.breakpoints():
+        assert p.slope(bp) == 0.0
 
 
 def test_truncated_quadratic_rejects_bad_slopes():

@@ -324,6 +324,17 @@ class TestHvi:
                 failed.append((g, q, b, alpha, rep.certificate))
         assert failed == []
 
+    def test_kinks_that_no_double_represents_certify(self):
+        # the kinks 1.5 -/+ 0.3 round to doubles that lie not exactly r0 from
+        # the anchor; at a node pinned on one, the certificate still needs the
+        # hull of both slopes
+        m = generate_unit_square_mesh(16)
+        opts = SolverOptions(max_iters=300)
+        for g, q, alpha in ((-4.0, 0.0, 10.0), (-1.0, 1.0, 10.0), (4.0, 1.0, 1.0)):
+            data = ProblemData.make(m, g=g, q=q, b=1.5, alpha=alpha)
+            p = make_potential("truncated_quadratic", b=1.5, m1=-1.0, r0=0.3)
+            assert solve_hvi(m, data, p, opts).converged, (g, q, alpha)
+
     @pytest.mark.parametrize(
         "pid", [pid for pid in potential_ids() if make_potential(pid).m_j is not None]
     )
