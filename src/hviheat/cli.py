@@ -29,7 +29,7 @@ from .hvi_solver import (
     solve_hvi,
     solve_robin,
 )
-from .mesh import Mesh, MeshFormatError, generate_unit_square_mesh, load_mesh
+from .mesh import Mesh, MeshFormatError, _format_rows, generate_unit_square_mesh, load_mesh
 from .mesh import validate_mesh  # noqa: F401  (re-exported for code that reads it from here)
 from .potentials import (
     Potential,
@@ -83,7 +83,8 @@ def _keys_read(command: str, experiment_id: str | None, kind: str) -> set[str]:
     ``check-potential`` reads the potential and ``problem.b``, its default
     anchor.  A solve reads the potential only for the multivalued kinds, and
     of the experiments ``linear_theorem`` never reads it; ``problem.kind`` is
-    read by a solve and by ``refinement``.
+    read by a solve and by ``refinement``, ``problem.alpha`` by all but a
+    ``dirichlet`` solve (the limit problem has no exchange coefficient).
     """
     read = {"command", "problem.b", "experiment.workers"}
     potential = {"potential.id", "potential.b", _PARAM_PREFIX}
@@ -92,6 +93,8 @@ def _keys_read(command: str, experiment_id: str | None, kind: str) -> set[str]:
     read.update(key for key in _KNOWN_KEYS if key.startswith(("mesh.", "solver.")))
     read.update(("problem.g", "problem.q", "problem.alpha"))
     if command == "solve":
+        if kind == "dirichlet":
+            read.remove("problem.alpha")
         return read | {"problem.kind"} | (potential if kind in ("hvi", "vi") else set())
     names = {"id", *_CLI_NAMES.get(experiment_id, ())}
     for name in _EXPERIMENTS[experiment_id][1]:
@@ -420,10 +423,8 @@ def _build_potential(cfg: RunConfig) -> Potential:
 
 
 def _solution_csv(mesh: Mesh, values: np.ndarray) -> str:
-    lines = ["vertex_id,x,y,u"]
-    for vid, ((x, y), u) in enumerate(zip(mesh.vertices, values)):
-        lines.append(f"{vid},{_fmt(x)},{_fmt(y)},{_fmt(u)}")
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack((np.arange(mesh.num_vertices), mesh.vertices, values))
+    return "\n".join(["vertex_id,x,y,u", *_format_rows("%d,%.17g,%.17g,%.17g", rows)]) + "\n"
 
 
 def _certificate_csv(report: SolveReport) -> str:

@@ -296,20 +296,30 @@ def save_mesh(mesh: Mesh) -> str:
     ``interface`` section is written only when the mesh declares interface
     vertices.
     """
-    lines = ["meshfmt 1"]
-    lines.append(f"vertices {mesh.num_vertices}")
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g}")
+    lines = ["meshfmt 1", f"vertices {mesh.num_vertices}"]
+    lines += _format_rows("%.17g %.17g", mesh.vertices)
     lines.append(f"triangles {mesh.num_triangles}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
+    lines += _format_rows("%d %d %d", mesh.triangles)
     lines.append(f"boundary {mesh.num_boundary_edges}")
-    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+    for (i, j), tag in zip(mesh.boundary_edges.tolist(), mesh.boundary_tags):
         lines.append(f"{i} {j} {tag.value}")
     if mesh.interface_vertices:
         lines.append(f"interface {len(mesh.interface_vertices)}")
         lines.extend(str(v) for v in mesh.interface_vertices)
     return "\n".join(lines) + "\n"
+
+
+_CHUNK_ROWS = 4096
+
+
+def _format_rows(template: str, rows: np.ndarray) -> list[str]:
+    """``template % row`` for each row of a 2-D array, one newline-joined text per chunk.
+
+    One ``%`` renders a chunk's ``.tolist()``: a Python float's ``%.17g`` has
+    the bytes of a numpy scalar's ``format``, and chunks bound the tuple.
+    """
+    chunks = (rows[i : i + _CHUNK_ROWS] for i in range(0, len(rows), _CHUNK_ROWS))
+    return ["\n".join([template] * len(c)) % tuple(c.ravel().tolist()) for c in chunks]
 
 
 # Per data section: fields per row, the row's shape, and what a row holds.

@@ -6,6 +6,10 @@ connectivity checks added in the same loop style); the tests require
 identical reports.
 ``load_mesh_reference`` is the line-by-line mesh reader the library replaced
 with a bulk one; the tests require equal meshes and identical errors.
+``save_mesh_reference`` and ``solution_csv_reference`` are the mesh and
+``solution.csv`` writers that formatted one numpy scalar at a time; the
+library renders chunks of rows with one ``%`` each, and the tests require
+identical bytes.
 ``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
 G3 node, and ``robin_reference`` solves the Robin problem directly on the
 free rows of ``A + alpha M``; the library gets both from the G3 trace.
@@ -241,6 +245,32 @@ def load_mesh_reference(text: str) -> Mesh:
         tuple(tags),
         interface_vertices=tuple(interface),
     )
+
+
+def save_mesh_reference(mesh: Mesh) -> str:
+    """The mesh text format written row by row, one numpy scalar at a time."""
+    lines = ["meshfmt 1"]
+    lines.append(f"vertices {mesh.num_vertices}")
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.17g} {y:.17g}")
+    lines.append(f"triangles {mesh.num_triangles}")
+    for i, j, k in mesh.triangles:
+        lines.append(f"{i} {j} {k}")
+    lines.append(f"boundary {mesh.num_boundary_edges}")
+    for (i, j), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
+        lines.append(f"{i} {j} {tag.value}")
+    if mesh.interface_vertices:
+        lines.append(f"interface {len(mesh.interface_vertices)}")
+        lines.extend(str(v) for v in mesh.interface_vertices)
+    return "\n".join(lines) + "\n"
+
+
+def solution_csv_reference(mesh: Mesh, values: np.ndarray) -> str:
+    """``solution.csv`` written row by row, one numpy scalar at a time."""
+    lines = ["vertex_id,x,y,u"]
+    for vid, ((x, y), u) in enumerate(zip(mesh.vertices, values)):
+        lines.append(f"{vid},{x:.17g},{y:.17g},{u:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def schur_reference(mesh) -> np.ndarray:

@@ -176,6 +176,8 @@ class TestParseConfig:
              "potential.id is not read by solve with problem.kind = robin"),
             ("solve\nproblem.kind = dirichlet", "potential.b = 2",
              "potential.b is not read by solve with problem.kind = dirichlet"),
+            ("solve\nproblem.kind = dirichlet", "problem.alpha = 3",
+             "problem.alpha is not read by solve with problem.kind = dirichlet"),
             ("solve\nproblem.kind = robin_lumped", "potential.params.k1 = 2",
              "potential.params.k1 is not read by solve with problem.kind = robin_lumped"),
             ("check-potential\npotential.id = abs", "mesh.n = 4", "mesh.n is not read by check-potential"),
@@ -312,8 +314,10 @@ class TestRun:
         mesh_path.write_text(save_mesh(mesh))
         text = (
             f"command = solve\nmesh.file = {mesh_path}\nproblem.kind = {kind}\n"
-            "problem.g = 2\nproblem.q = 0.5\nproblem.b = 0.5\nproblem.alpha = 3\n"
+            "problem.g = 2\nproblem.q = 0.5\nproblem.b = 0.5\n"
         )
+        if kind != "dirichlet":  # the Dirichlet limit problem reads no alpha
+            text += "problem.alpha = 3\n"
         if kind == "hvi":
             text += "potential.id = exp_quadratic\n"
         assert run(parse_config(text), tmp_path / "out") == 0

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hviheat.cli import main
+from hviheat.cli import _solution_csv, main
 from hviheat.mesh import (
+    _CHUNK_ROWS,
     BoundaryTag,
     Mesh,
     MeshFormatError,
@@ -15,7 +16,12 @@ from hviheat.mesh import (
     save_mesh,
     validate_mesh,
 )
-from oracles import load_mesh_reference, validate_mesh_reference
+from oracles import (
+    load_mesh_reference,
+    save_mesh_reference,
+    solution_csv_reference,
+    validate_mesh_reference,
+)
 
 
 def tag_counts(mesh):
@@ -299,6 +305,79 @@ def test_roundtrip_irrational_coordinates():
     vertices = m.vertices + np.pi / 700.0  # exercises full-precision formatting
     shifted = Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
     assert load_mesh(save_mesh(shifted)) == shifted
+
+
+def _renumbered(n: int, seed: int) -> Mesh:
+    m = generate_unit_square_mesh(n)
+    perm = np.random.default_rng(seed).permutation(m.num_vertices)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    return Mesh(vertices, perm[m.triangles], perm[m.boundary_edges], m.boundary_tags)
+
+
+def _with_vertices(m: Mesh, vertices) -> Mesh:
+    return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags, m.interface_vertices)
+
+
+def _jittered(n: int, seed: int) -> Mesh:
+    m = _renumbered(n, seed)
+    shift = np.random.default_rng(seed).uniform(-0.3, 0.3, m.vertices.shape) / n
+    return _with_vertices(m, m.vertices + shift)
+
+
+def _interface(n: int) -> Mesh:
+    m = generate_unit_square_mesh(n)
+    tags = list(m.boundary_tags)
+    tags[0] = BoundaryTag.GAMMA3  # vertex 0 is on the G1 edge too
+    return Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=(0,))
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308, 1 / 3, -1e-300, 1e22, 123456789.0, np.nan, np.inf, -np.inf]
+
+
+def _special(n: int) -> Mesh:
+    m = generate_unit_square_mesh(n)
+    values = np.resize(np.array(_SPECIAL), m.vertices.size).reshape(m.vertices.shape)
+    return _with_vertices(m, values)
+
+
+def _rows(k: int) -> Mesh:
+    """``k`` vertices and ``k`` triangles, no boundary: a writer's row counts, not a valid mesh."""
+    rng = np.random.default_rng(k)
+    vertices = rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-20, 20, (k, 2))
+    return Mesh(vertices, rng.integers(0, max(k, 1), (k, 3)), np.zeros((0, 2)), ())
+
+
+WRITER_MESHES = {
+    "generated_1": lambda: generate_unit_square_mesh(1),
+    "generated_17": lambda: generate_unit_square_mesh(17),
+    "renumbered_12": lambda: _renumbered(12, 5),
+    "jittered_9": lambda: _jittered(9, 2),
+    "jittered_66": lambda: _jittered(66, 8),  # 4,489 vertices and 8,712 triangles: 2 and 3 chunks
+    "interface_3": lambda: _interface(3),
+    "special_values": lambda: _special(4),
+    **{f"rows_{k}": (lambda k=k: _rows(k)) for k in (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_MESHES))
+def test_writers_match_the_per_value_references_byte_for_byte(name):
+    mesh = WRITER_MESHES[name]()
+    text = save_mesh(mesh)
+    assert text == save_mesh_reference(mesh)
+    loaded = load_mesh(text)
+    # bit patterns, so NaN equals NaN and -0.0 stays -0.0; Mesh equality for the rest
+    assert np.array_equal(loaded.vertices.view(np.int64), mesh.vertices.view(np.int64))
+    blank = np.zeros_like(mesh.vertices)
+    assert _with_vertices(loaded, blank) == _with_vertices(mesh, blank)
+    if np.isfinite(mesh.vertices).all():
+        assert loaded == mesh
+    values = np.resize(np.array(_SPECIAL[::-1]), mesh.num_vertices)
+    values[: mesh.num_vertices // 2] = np.linspace(-1.0, 1.0, mesh.num_vertices // 2)
+    csv = _solution_csv(mesh, values)
+    assert csv == solution_csv_reference(mesh, values)
+    assert len(csv.splitlines()) == mesh.num_vertices + 1
 
 
 def test_load_reports_out_of_range_vertex_line():
