@@ -21,6 +21,7 @@ from .assembly import (
     assemble_stiffness,
     build_dof_map,
     estimate_coercivity,
+    gamma3_mass,
     mesh_operators,
     v0_seminorm,
     v_norm,

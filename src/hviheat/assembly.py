@@ -38,6 +38,7 @@ __all__ = [
     "assemble_mass",
     "assemble_load",
     "assemble_boundary_mass",
+    "gamma3_mass",
     "build_dof_map",
     "mesh_operators",
     "mesh_report",
@@ -217,8 +218,8 @@ def build_dof_map(mesh: Mesh, space: str = "V0") -> DofMap:
     if space not in ("V0", "K0"):
         raise ValueError(f"unknown space {space!r}, expected 'V0' or 'K0'")
     classes = np.full(mesh.num_vertices, VertexClass.FREE, dtype=np.int64)
-    classes[mesh.gamma3_vertices()] = VertexClass.GAMMA3
-    classes[mesh.gamma1_vertices()] = VertexClass.GAMMA1
+    classes[mesh.edges_with_tag(BoundaryTag.GAMMA3)] = VertexClass.GAMMA3
+    classes[mesh.edges_with_tag(BoundaryTag.GAMMA1)] = VertexClass.GAMMA1  # G1 wins at corners
     if space == "V0":
         fixed = classes == VertexClass.GAMMA1
     else:
@@ -293,21 +294,36 @@ def assemble_boundary_mass(mesh: Mesh) -> tuple[np.ndarray, sp.csr_matrix]:
     over G3 edges; the lumped weights are its row sums, so they add up to the
     length of G3.
     """
-    g3_edges = mesh.edges_with_tag(BoundaryTag.GAMMA3)
-    if not len(g3_edges):
-        raise AssemblyError("mesh has no G3 edges; the exchange boundary is required")
-    lengths = mesh.edge_lengths(g3_edges)
+    g3_edges, lengths, weights = _gamma3_edges(mesh)
     nv = mesh.num_vertices
-
     rows = np.concatenate([g3_edges[:, 0], g3_edges[:, 0], g3_edges[:, 1], g3_edges[:, 1]])
     cols = np.concatenate([g3_edges[:, 0], g3_edges[:, 1], g3_edges[:, 0], g3_edges[:, 1]])
     vals = np.concatenate([lengths / 3.0, lengths / 6.0, lengths / 6.0, lengths / 3.0])
     consistent = sp.coo_matrix((vals, (rows, cols)), shape=(nv, nv)).tocsr()
+    return weights, consistent
 
-    weights = np.zeros(nv)
+
+def _gamma3_edges(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The G3 edges, their lengths, and the lumped weights (half of each length per end)."""
+    g3_edges = mesh.edges_with_tag(BoundaryTag.GAMMA3)
+    if not len(g3_edges):
+        raise AssemblyError("mesh has no G3 edges; the exchange boundary is required")
+    lengths = mesh.edge_lengths(g3_edges)
+    weights = np.zeros(mesh.num_vertices)
     np.add.at(weights, g3_edges[:, 0], lengths / 2.0)
     np.add.at(weights, g3_edges[:, 1], lengths / 2.0)
-    return weights, consistent
+    return g3_edges, lengths, weights
+
+
+def gamma3_mass(mesh: Mesh) -> sp.csr_matrix:
+    """The consistent matrix of ``assemble_boundary_mass``, read-only, built on first use."""
+
+    def build():
+        consistent = assemble_boundary_mass(mesh)[1]
+        _freeze(consistent)
+        return consistent
+
+    return mesh_operators(mesh).once("gamma3_mass", build)
 
 
 def _freeze(*items) -> None:
@@ -323,15 +339,16 @@ class MeshOperators:
 
     ``report`` is the mesh's ``validate_mesh`` report.  A valid mesh's
     bundle also holds the stiffness and mass matrices, the G3 lumped
-    weights and consistent mass, the ``V0`` dof map, the index sets
-    ``bulk`` (vertices on neither G1 nor G3) and ``gamma3``, and the
-    stiffness blocks ``bulk_block`` (bulk rows and columns) and ``coupling``
-    (bulk rows, G3 columns), which do not depend on the data or the
-    exchange coefficient.  Its arrays are read-only.  Members that only
-    some solvers need, such as a factorization, are built by ``once`` on
-    first use.  Solvers read the bundle and the data's ``assemble_load``;
-    nothing else holds per-mesh operators.  Get a bundle from
-    ``mesh_operators``; it lives as long as its mesh.
+    weights, the ``V0`` dof map, the index sets ``bulk`` (vertices on
+    neither G1 nor G3) and ``gamma3``, and the stiffness blocks
+    ``bulk_block`` (bulk rows and columns) and ``coupling`` (bulk rows, G3
+    columns), which do not depend on the data or the exchange coefficient.
+    Its arrays are read-only.  Members that only some solvers need, such as
+    a factorization or the consistent G3 mass (``gamma3_mass``), are built
+    by ``once`` on first use.  Solvers read the bundle and the data's
+    ``assemble_load``; nothing else holds per-mesh operators.  Get a bundle
+    from ``mesh_operators``; it lives as long as its mesh and holds no
+    reference to it, so both are freed without the cyclic collector.
     """
 
     def __init__(self, mesh: Mesh):
@@ -341,7 +358,7 @@ class MeshOperators:
             return
         self.stiffness = assemble_stiffness(mesh)
         self.mass = assemble_mass(mesh)
-        self.gamma3_weights, self.gamma3_mass = assemble_boundary_mass(mesh)
+        self.gamma3_weights = _gamma3_edges(mesh)[2]
         self.dof_v0 = build_dof_map(mesh, "V0")
         classes = self.dof_v0.vertex_class
         self.bulk = np.nonzero(classes == VertexClass.FREE)[0]
@@ -350,9 +367,8 @@ class MeshOperators:
         self.bulk_block = bulk_rows[:, self.bulk]
         self.coupling = bulk_rows[:, self.gamma3]
         _freeze(
-            self.stiffness, self.mass, self.gamma3_weights, self.gamma3_mass,
-            self.dof_v0.vertex_class, self.dof_v0.fixed, self.bulk, self.gamma3,
-            self.bulk_block, self.coupling,
+            self.stiffness, self.mass, self.gamma3_weights, self.dof_v0.vertex_class,
+            self.dof_v0.fixed, self.bulk, self.gamma3, self.bulk_block, self.coupling,
         )
 
     def once(self, key: str, build: Callable[[], object]):
@@ -431,7 +447,7 @@ def estimate_coercivity(
     order, lu = _g3_last_factor(ops)
     A = ops.stiffness[order][:, order]
     M = ops.mass[order][:, order]
-    Mg3 = ops.gamma3_mass[order][:, order]
+    Mg3 = gamma3_mass(mesh)[order][:, order]
     start = np.ones(len(order))
 
     def largest(apply_b, what):

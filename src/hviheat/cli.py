@@ -615,11 +615,9 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-element solves and theory-checking experiments "
         "for mixed problems with a multivalued exchange boundary law.",
     )
-    sub = parser.add_subparsers(dest="cli_command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the run configuration")
-        cmd.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("command", choices=COMMANDS, help="must match the config's command key")
+    parser.add_argument("--config", required=True, help="path to the run configuration")
+    parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
@@ -638,10 +636,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {message}", file=sys.stderr)
         return 2
 
-    if cfg.command != args.cli_command:
+    if cfg.command != args.command:
         out.mkdir(parents=True, exist_ok=True)
         mismatch = ConfigError(
-            [f"config declares command={cfg.command} but the CLI invoked {args.cli_command}"]
+            [f"config declares command={cfg.command} but the CLI invoked {args.command}"]
         )
         _write_error(out, mismatch, 2)
         print(f"error: {mismatch}", file=sys.stderr)

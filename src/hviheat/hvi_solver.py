@@ -33,6 +33,7 @@ from .assembly import (
     ProblemData,
     _freeze,
     assemble_load,
+    gamma3_mass,
     mesh_operators,
     v0_seminorm,
     v_norm,
@@ -282,7 +283,7 @@ def solve_robin(
     ops = mesh_operators(mesh)
     alpha, g3 = data.alpha, ops.gamma3
     if boundary_mass == "consistent":
-        exchange = ops.gamma3_mass
+        exchange = gamma3_mass(mesh)
     else:
         exchange = sp.diags(ops.gamma3_weights).tocsr()
     rhs = assemble_load(mesh, data) + alpha * (exchange @ data.b_nodal(mesh))

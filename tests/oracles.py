@@ -10,6 +10,8 @@ with a bulk one; the tests require equal meshes and identical errors.
 ``solution.csv`` writers that formatted one numpy scalar at a time; the
 library renders chunks of rows with one ``%`` each, and the tests require
 identical bytes.
+``vertex_classes_reference`` classifies the vertices from the mesh's own G1
+and G3 vertex sets; the library scatters the classes over the tagged edges.
 ``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
 G3 node, and ``robin_reference`` solves the Robin problem directly on the
 free rows of ``A + alpha M``; the library gets both from the G3 trace.
@@ -39,7 +41,6 @@ from hviheat.assembly import (
     assemble_boundary_mass,
     assemble_load,
     assemble_stiffness,
-    build_dof_map,
 )
 from hviheat.mesh import BoundaryTag, Mesh, MeshFormatError
 
@@ -273,10 +274,18 @@ def solution_csv_reference(mesh: Mesh, values: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
+def vertex_classes_reference(mesh: Mesh) -> np.ndarray:
+    """``VertexClass`` per vertex: G1 on ``gamma1_vertices``, G3 on ``gamma3_vertices``, else free."""
+    classes = np.full(mesh.num_vertices, VertexClass.FREE, dtype=np.int64)
+    classes[mesh.gamma1_vertices()] = VertexClass.GAMMA1
+    classes[mesh.gamma3_vertices()] = VertexClass.GAMMA3  # excludes the G1 vertices
+    return classes
+
+
 def schur_reference(mesh) -> np.ndarray:
     """``A_gg - A_gb A_bb^-1 A_bg`` over the sorted G3 vertices, one back-solve per G3 node."""
     A = assemble_stiffness(mesh).tocsr()
-    classes = build_dof_map(mesh, "V0").vertex_class
+    classes = vertex_classes_reference(mesh)
     bulk = np.nonzero(classes == VertexClass.FREE)[0]
     g3 = np.nonzero(classes == VertexClass.GAMMA3)[0]
     lu = spla.splu(sp.csc_matrix(A[bulk][:, bulk]))
@@ -291,7 +300,7 @@ def robin_reference(mesh, data, boundary_mass: str = "consistent") -> np.ndarray
     exchange = consistent if boundary_mass == "consistent" else sp.diags(weights)
     K = (assemble_stiffness(mesh) + data.alpha * exchange).tocsr()
     rhs = assemble_load(mesh, data) + data.alpha * (exchange @ data.b_nodal(mesh))
-    free = build_dof_map(mesh, "V0").free_indices
+    free = np.nonzero(vertex_classes_reference(mesh) != VertexClass.GAMMA1)[0]
     u = np.zeros(mesh.num_vertices)
     u[free] = spla.spsolve(sp.csc_matrix(K[free][:, free]), rhs[free])
     return u

@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import hviheat.assembly
 from hviheat.assembly import (
     AssemblyError,
     ProblemData,
@@ -11,11 +15,15 @@ from hviheat.assembly import (
     assemble_stiffness,
     build_dof_map,
     estimate_coercivity,
+    gamma3_mass,
     mesh_operators,
     mesh_report,
     v_norm,
 )
+from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh
+from hviheat.potentials import make_potential
+from oracles import vertex_classes_reference
 
 
 def test_two_triangle_stiffness_hand_assembled():
@@ -124,6 +132,50 @@ def test_dof_map_counts_n2():
     assert np.count_nonzero(v0.vertex_class == VertexClass.GAMMA3) == 3
 
 
+def _renumbered(n: int, seed: int) -> Mesh:
+    m = generate_unit_square_mesh(n)
+    perm = np.random.default_rng(seed).permutation(m.num_vertices)
+    vertices = np.empty_like(m.vertices)
+    vertices[perm] = m.vertices
+    return Mesh(vertices, perm[m.triangles], perm[m.boundary_edges], m.boundary_tags)
+
+
+def _g3_on_top(n: int) -> Mesh:
+    # G3 on y = 1 as well meets G1 (x = 0) at the declared vertex (0, 1)
+    m = generate_unit_square_mesh(n)
+    top = m.vertices[m.boundary_edges][:, :, 1].min(axis=1) == 1.0
+    tags = tuple(BoundaryTag.GAMMA3 if t else tag for t, tag in zip(top, m.boundary_tags))
+    return Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=(n * (n + 1),))
+
+
+def _g3_at_origin(n: int) -> Mesh:
+    m = generate_unit_square_mesh(n)
+    tags = (BoundaryTag.GAMMA3,) + m.boundary_tags[1:]  # vertex 0 is on a G1 edge too
+    return Mesh(m.vertices, m.triangles, m.boundary_edges, tags, interface_vertices=(0,))
+
+
+DOF_MESHES = {
+    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in range(1, 9)},
+    **{f"renumbered_{n}": (lambda n=n: _renumbered(n, n)) for n in (1, 2, 5, 8)},
+    **{f"g3_on_top_{n}": (lambda n=n: _g3_on_top(n)) for n in (1, 2, 6)},
+    **{f"g3_at_origin_{n}": (lambda n=n: _g3_at_origin(n)) for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", DOF_MESHES)
+def test_dof_classes_match_the_mesh_vertex_sets(name):
+    m = DOF_MESHES[name]()
+    classes = vertex_classes_reference(m)
+    v0, k0 = build_dof_map(m, "V0"), build_dof_map(m, "K0")
+    for dof in (v0, k0):
+        assert dof.vertex_class.dtype == classes.dtype
+        assert np.array_equal(dof.vertex_class, classes)
+    assert np.array_equal(v0.fixed, classes == VertexClass.GAMMA1)
+    assert np.array_equal(k0.fixed, classes != VertexClass.FREE)
+    if m.interface_vertices:  # the declared corner is a G1 vertex
+        assert np.all(classes[list(m.interface_vertices)] == VertexClass.GAMMA1)
+
+
 def test_dof_map_rejects_unknown_space():
     with pytest.raises(ValueError):
         build_dof_map(generate_unit_square_mesh(2), "H1")
@@ -203,15 +255,37 @@ def test_v_norm_matches_quadratic_form():
 
 
 class TestMeshOperators:
-    def test_built_once_per_mesh_and_matching_direct_assembly(self):
+    def test_built_once_per_mesh_and_matching_direct_assembly(self, monkeypatch):
         m = generate_unit_square_mesh(3)
         ops = mesh_operators(m)
         assert mesh_operators(m) is ops
         assert (ops.stiffness != assemble_stiffness(m)).nnz == 0
         assert (ops.mass != assemble_mass(m)).nnz == 0
         weights, consistent = assemble_boundary_mass(m)
-        assert np.array_equal(ops.gamma3_weights, weights)
-        assert (ops.gamma3_mass != consistent).nnz == 0
+        assert ops.gamma3_weights.tobytes() == weights.tobytes()
+        # only a consistent Robin solve and estimate_coercivity read the
+        # consistent G3 mass, and between them it is built once
+        builds = []
+        monkeypatch.setattr(
+            hviheat.assembly, "assemble_boundary_mass",
+            lambda mesh: builds.append(mesh) or assemble_boundary_mass(mesh),
+        )
+        data = ProblemData.make(m, g=-1.0, b=1.0, alpha=10.0)
+        solve_hvi(m, data, make_potential("exp_quadratic", b=1.0))
+        solve_hvi(m, data, make_potential("abs", b=1.0))  # the vi kind
+        solve_dirichlet(m, data)
+        solve_robin(m, data, boundary_mass="lumped")
+        assert builds == []
+        solve_robin(m, data)
+        estimate_coercivity(m)
+        assert builds == [m]
+        mg3 = gamma3_mass(m)
+        assert gamma3_mass(m) is mg3 and builds == [m]
+        for name in ("data", "indices", "indptr"):
+            assert getattr(mg3, name).tobytes() == getattr(consistent, name).tobytes()
+            with pytest.raises(ValueError):
+                getattr(mg3, name)[0] = 0
+        assert ops.gamma3_weights.tobytes() == weights.tobytes()
         classes = build_dof_map(m, "V0").vertex_class
         assert np.array_equal(ops.bulk, np.nonzero(classes == VertexClass.FREE)[0])
         assert np.array_equal(ops.gamma3, np.nonzero(classes == VertexClass.GAMMA3)[0])
@@ -229,6 +303,25 @@ class TestMeshOperators:
             ops.gamma3_weights[0] = 0.0
         with pytest.raises(ValueError):
             ops.bulk[0] = 0
+
+    def test_bundle_holds_no_reference_to_its_mesh(self):
+        # with the cyclic collector off, a bundle-to-mesh cycle would keep both alive
+        m = generate_unit_square_mesh(3)
+        ref = weakref.ref(m)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solve_robin(m, ProblemData.make(m, g=-1.0, b=1.0, alpha=10.0))
+            estimate_coercivity(m)
+            ops = mesh_operators(m)
+            assert set(ops._derived) == {
+                "bulk_factor", "g3_last_factor", "trace_reduction", "gamma3_mass"
+            }
+            del m, ops
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_lazy_members_are_built_once(self):
         ops = mesh_operators(generate_unit_square_mesh(2))

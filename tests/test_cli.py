@@ -519,6 +519,37 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(tmp_path / "nope.cfg"), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nosuch", "--config", "x.cfg", "--out", "out"],
+            ["solve", "--out", "out"],
+            ["solve", "--config", "x.cfg"],
+            [],
+        ],
+        ids=["unknown_command", "no_config", "no_out", "no_command"],
+    )
+    def test_argument_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: hviheat" in capsys.readouterr().err
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for command in ("solve", "experiment", "check-potential", "--config", "--out"):
+            assert command in text
+
+    def test_options_before_the_command(self, tmp_path):
+        config = tmp_path / "solve.cfg"
+        config.write_text(MINIMAL)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "solve"]) == 0
+        assert (out / "solution.csv").exists()
+
     def test_check_potential_writes_report(self, tmp_path):
         config = tmp_path / "p.cfg"
         config.write_text(
