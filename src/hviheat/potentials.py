@@ -166,6 +166,19 @@ class Potential:
             lo[on], hi[on] = np.minimum(slopes, lo[on]), np.maximum(slopes, hi[on])
         return lo, hi
 
+    def concave_kinks(self) -> tuple[float, ...]:
+        """The kinks where the left-hand derivative exceeds the right-hand one.
+
+        There the subgradient jumps down, so no relaxed-monotonicity
+        constant is finite.  A potential without a piece table has none.
+        """
+        if type(self)._piece is Potential._piece:
+            return ()
+        kinks = self.breakpoints()
+        return tuple(
+            r for i, r in enumerate(kinks) if self._piece(i, r)[1] > self._piece(i + 1, r)[1]
+        )
+
     def slope(self, r: float) -> float:
         kinks = self.breakpoints()
         i = bisect.bisect_left(kinks, r)
@@ -663,13 +676,16 @@ def _pairwise_symmetric_sum(p: Potential, grid: np.ndarray) -> np.ndarray:
 def estimate_relaxed_monotonicity(p: Potential, grid: np.ndarray | None = None) -> float:
     """Smallest sampled constant in the relaxed monotonicity condition.
 
-    Returns the supremum over distinct grid pairs of
+    A potential with a concave kink has none: it returns ``+inf``.  Otherwise
+    it returns the supremum over distinct grid pairs of
 
         (j0(r; s-r) + j0(s; r-s)) / |r-s|^2,
 
     clamped below at zero.  Convex potentials give zero; pairs with ``r = s``
     are excluded by construction.
     """
+    if p.concave_kinks():
+        return math.inf
     if grid is None:
         grid = pair_grid(p)
     total = _pairwise_symmetric_sum(p, grid)

@@ -577,6 +577,8 @@ def verify_continuous_dependence(
     # after the solve, which built the mesh's shared factors that it reuses
     est = estimate_coercivity(mesh)
     margin = est.smallness_margin(data.alpha, m_j)
+    kinks = p.concave_kinks() if np.isinf(m_j) else ()
+    kink = f", concave kink at r={kinks[0]:.6g}" if kinks else ""
     scope = margin <= 0.0
     n = _infer_n(mesh)
 
@@ -600,7 +602,7 @@ def verify_continuous_dependence(
             margin,
             0.0,
             scope=scope,
-            detail=f"m_a={est.m_a:.6g}, |gamma|={est.gamma_norm:.6g}, m_j={m_j:.6g}",
+            detail=f"m_a={est.m_a:.6g}, |gamma|={est.gamma_norm:.6g}, m_j={m_j:.6g}{kink}",
         )
     )
     claims += _nonincreasing(errors, slack, scope=scope)

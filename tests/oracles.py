@@ -15,6 +15,9 @@ and G3 vertex sets; the library scatters the classes over the tagged edges.
 ``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
 G3 node, and ``robin_reference`` solves the Robin problem directly on the
 free rows of ``A + alpha M``; the library gets both from the G3 trace.
+``coercivity_reference`` gets the coercivity constant and the trace norm
+from dense generalized eigenproblems; the library iterates with its sparse
+factor.
 
 The superpotential tables are closed forms for the built-in laws, and
 ``prox_reference`` minimizes the scalar proximal energy by brute force.
@@ -33,6 +36,7 @@ lower kink that is ``-r0 * (b - r)``, not the outer-slope pairing.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,6 +44,7 @@ from hviheat.assembly import (
     VertexClass,
     assemble_boundary_mass,
     assemble_load,
+    assemble_mass,
     assemble_stiffness,
 )
 from hviheat.mesh import BoundaryTag, Mesh, MeshFormatError
@@ -304,6 +309,22 @@ def robin_reference(mesh, data, boundary_mass: str = "consistent") -> np.ndarray
     u = np.zeros(mesh.num_vertices)
     u[free] = spla.spsolve(sp.csc_matrix(K[free][:, free]), rhs[free])
     return u
+
+
+def coercivity_reference(mesh) -> tuple[float, float]:
+    """``(m_a, gamma_norm)`` from dense ``eigh`` on the free (non-G1) rows and columns.
+
+    ``m_a`` is the smallest eigenvalue of ``(A, A + M)``, ``gamma_norm`` the
+    square root of the largest of ``(M_G3, A)``.
+    """
+    free = np.nonzero(vertex_classes_reference(mesh) != VertexClass.GAMMA1)[0]
+    A, M, Mg3 = (
+        B.toarray()[np.ix_(free, free)]
+        for B in (assemble_stiffness(mesh), assemble_mass(mesh), assemble_boundary_mass(mesh)[1])
+    )
+    m_a = sla.eigh(A, A + M, eigvals_only=True)[0]
+    gamma_sq = sla.eigh(Mg3, A, eigvals_only=True)[-1]
+    return float(m_a), float(np.sqrt(gamma_sq))
 
 
 def exp_quadratic_table(b: float, r: float) -> tuple[float, float, float]:

@@ -23,7 +23,7 @@ from hviheat.assembly import (
 from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh
 from hviheat.potentials import make_potential
-from oracles import vertex_classes_reference
+from oracles import coercivity_reference, vertex_classes_reference
 
 
 def test_two_triangle_stiffness_hand_assembled():
@@ -190,7 +190,39 @@ def test_problem_data_validation():
     assert len(violations) == 3
 
 
+def _jittered(n: int, seed: int) -> Mesh:
+    """``_renumbered(n, seed)`` with its interior vertices moved by up to 0.3 h."""
+    m = _renumbered(n, seed)
+    rng = np.random.default_rng(seed)
+    interior = np.all((m.vertices > 0.0) & (m.vertices < 1.0), axis=1)
+    shift = rng.uniform(-0.3 / n, 0.3 / n, size=(int(interior.sum()), 2))
+    vertices = m.vertices.copy()
+    vertices[interior] += shift
+    return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
+
+
+COERCIVITY_MESHES = {
+    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in (4, 8, 16)},
+    "renumbered_8": lambda: _renumbered(8, 8),
+    "jittered_9": lambda: _jittered(9, 2),
+    "jittered_12": lambda: _jittered(12, 5),
+}
+
+
 class TestCoercivity:
+    @pytest.mark.parametrize("name", COERCIVITY_MESHES)
+    def test_matches_the_dense_eigenproblems(self, name):
+        m = COERCIVITY_MESHES[name]()
+        est = estimate_coercivity(m)
+        m_a, gamma_norm = coercivity_reference(m)
+        assert abs(est.m_a - m_a) <= 1e-10 * m_a
+        assert abs(est.gamma_norm - gamma_norm) <= 1e-10 * gamma_norm
+
+    def test_unshifted_pencil_converges_in_a_few_steps(self):
+        est = estimate_coercivity(generate_unit_square_mesh(16))
+        assert est.iterations_m_a <= 10
+        assert est.iterations_gamma == 2
+
     def test_constants_in_expected_ranges(self):
         est = estimate_coercivity(generate_unit_square_mesh(4))
         assert 0.0 < est.m_a < 1.0

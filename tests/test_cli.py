@@ -485,6 +485,10 @@ class TestDescribePotential:
         )
         assert estimate == 0.0
 
+    def test_concave_kink_reports_an_infinite_constant(self):
+        text = describe_potential("min_quadratics", b=1.0)
+        assert "relaxed monotonicity constant estimate: inf\n" in text
+
     def test_unknown_id_lists_builtins(self):
         with pytest.raises(Exception) as err:
             describe_potential("unknown")

@@ -354,6 +354,39 @@ def test_relaxed_monotonicity_convex_builtins_zero():
         assert estimate_relaxed_monotonicity(make_potential(pid, b=0.8)) <= 1e-12
 
 
+def test_concave_kinks_make_the_relaxed_monotonicity_constant_infinite():
+    # the parabolas cross at b -+ sqrt(2 (c2 - c1) / (k1 - k2)) = b -+ 1, where
+    # the subgradient jumps down from the outer slope to the inner one
+    p = MinQuadraticsPotential(b=1.0)
+    assert p.concave_kinks() == p.breakpoints() == (0.0, 2.0)
+    assert estimate_relaxed_monotonicity(p) == np.inf
+    shallow = MinQuadraticsPotential(b=1.0, c2=-0.5)
+    assert len(shallow.concave_kinks()) == 2 and estimate_relaxed_monotonicity(shallow) == np.inf
+    assert MinQuadraticsPotential(b=1.0, c2=1.0).concave_kinks() == ()  # convex: one parabola
+
+
+# the pair-sample estimates of the laws without a concave kink, as float.hex
+PAIR_SAMPLE_ESTIMATES = {
+    ("exp_quadratic", 0.0): "0x1.fffffe115bba2p-1",
+    ("exp_quadratic", 1.0): "0x1.ffffff743f11ap-1",
+    **{(pid, b): "0x0.0p+0" for pid in CONVEX_IDS for b in (0.0, 1.0)},
+}
+
+
+@pytest.mark.parametrize("pid, b", PAIR_SAMPLE_ESTIMATES)
+def test_laws_without_a_concave_kink_keep_the_pair_sample(pid, b):
+    p = make_potential(pid, b=b)
+    assert p.concave_kinks() == ()
+    assert estimate_relaxed_monotonicity(p).hex() == PAIR_SAMPLE_ESTIMATES[pid, b]
+
+
+def test_potential_without_pieces_keeps_the_pair_sample():
+    # j = -(r-b)^2 / 2 states no piece table; its constant is 1
+    p = ConcaveQuadratic(b=1.0)
+    assert p.concave_kinks() == ()
+    assert estimate_relaxed_monotonicity(p) == pytest.approx(1.0, rel=1e-9)
+
+
 def test_scaled_sign_condition_outcomes():
     assert check_scaled_sign_condition(QuadraticPotential(b=1.0)).passed
     assert check_scaled_sign_condition(AbsPotential(b=1.0)).passed

@@ -12,6 +12,7 @@ from hviheat.mesh import generate_unit_square_mesh
 from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
+    MinQuadraticsPotential,
     QuadraticPotential,
     TruncatedQuadraticPotential,
 )
@@ -24,6 +25,8 @@ from hviheat.verification import (
     verify_linear_theorem,
     verify_monotonicity,
 )
+
+from oracles import coercivity_reference
 
 
 def mesh8():
@@ -287,6 +290,36 @@ class TestContinuousDependence:
         assert rep.passed
         assert claim(rep, "smallness_condition").verdict == "pass"
         assert claim(rep, "per_step_contraction").verdict == "pass"
+
+    @pytest.mark.parametrize(
+        "p, alpha", [(QuadraticPotential(b=1.0), 2.0), (ExpQuadraticPotential(b=1.0), 0.5)]
+    )
+    def test_smallness_margin_from_the_sharp_constants(self, p, alpha):
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=alpha)
+        perturbed = self.perturbation_sequence(m, d, 5)
+        rep = verify_continuous_dependence(m, d, p, perturbed, ratio_target=2.0)
+        m_a, gamma_norm = coercivity_reference(m)
+        expected = m_a - alpha * p.m_j * gamma_norm**2
+        assert abs(claim(rep, "smallness_condition").margin - expected) <= 1e-9 * expected
+        assert [(c.claim, c.verdict) for c in rep.claims] == [
+            ("smallness_condition", "pass"),
+            ("error_nonincreasing", "pass"),
+            ("error_within_fitted_stability_constant", "pass"),
+            ("per_step_contraction", "pass"),
+        ]
+        assert [row.verdict for row in rep.rows] == ["pass"] * 5
+
+    def test_concave_kink_is_out_of_scope_by_name(self):
+        m = mesh8()
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        rep = verify_continuous_dependence(
+            m, d, MinQuadraticsPotential(b=1.0), self.perturbation_sequence(m, d, 3)
+        )
+        smallness = claim(rep, "smallness_condition")
+        assert (smallness.verdict, smallness.margin) == ("scope", -np.inf)
+        assert smallness.detail.endswith("m_j=inf, concave kink at r=0")
+        assert rep.passed
 
     def test_zero_perturbation_zero_error(self):
         m = mesh8()
