@@ -11,7 +11,6 @@ from .mesh import (
     validate_mesh,
 )
 from .assembly import (
-    CoercivityEstimates,
     DofMap,
     MeshOperators,
     ProblemData,
@@ -20,7 +19,6 @@ from .assembly import (
     assemble_mass,
     assemble_stiffness,
     build_dof_map,
-    estimate_coercivity,
     gamma3_mass,
     mesh_operators,
     v0_seminorm,
@@ -46,6 +44,7 @@ from .hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
+    trace_constant,
 )
 from .verification import (
     ExperimentReport,

@@ -28,12 +28,10 @@ from .mesh import BoundaryTag, Mesh, validate_mesh
 
 __all__ = [
     "ProblemData",
-    "CoercivityEstimates",
     "DofMap",
     "MeshOperators",
     "VertexClass",
     "AssemblyError",
-    "ConvergenceError",
     "assemble_stiffness",
     "assemble_mass",
     "assemble_load",
@@ -42,7 +40,6 @@ __all__ = [
     "build_dof_map",
     "mesh_operators",
     "mesh_report",
-    "estimate_coercivity",
     "v_norm",
     "v0_seminorm",
 ]
@@ -52,14 +49,6 @@ ScalarField = float | np.ndarray | Callable[[np.ndarray, np.ndarray], np.ndarray
 
 class AssemblyError(ValueError):
     """Raised for inputs the assembler cannot integrate (e.g. degenerate cells)."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iteration hit its cap; ``last_estimate`` holds the final iterate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(f"{message} (last estimate {last_estimate:.6e})")
-        self.last_estimate = last_estimate
 
 
 def _nodal_values(mesh: Mesh, spec: ScalarField) -> np.ndarray:
@@ -408,73 +397,3 @@ def v_norm(stiffness: sp.spmatrix, mass: sp.spmatrix, v: np.ndarray) -> float:
 def v0_seminorm(stiffness: sp.spmatrix, v: np.ndarray) -> float:
     """Energy seminorm: sqrt(v'Av)."""
     return float(np.sqrt(max(v @ (stiffness @ v), 0.0)))
-
-
-@dataclass(frozen=True)
-class CoercivityEstimates:
-    """Sharp discrete constants of the coercivity and trace inequalities.
-
-    ``m_a`` satisfies a(v,v) >= m_a (a(v,v) + |v|^2) on the V0 subspace and
-    lies in (0, 1); ``gamma_norm`` is the smallest constant with
-    ``|v|_{L2(G3)}^2 <= gamma_norm^2 a(v,v)`` there.
-    """
-
-    m_a: float
-    gamma_norm: float
-    iterations_m_a: int = 0
-    iterations_gamma: int = 0
-
-    def smallness_margin(self, alpha: float, m_j: float) -> float:
-        """Positive when the uniqueness condition m_a > alpha m_j |gamma|^2 holds."""
-        return self.m_a - alpha * m_j * self.gamma_norm**2
-
-
-def estimate_coercivity(
-    mesh: Mesh, tol: float = 1e-8, max_iters: int = 100_000
-) -> CoercivityEstimates:
-    """Sharp discrete coercivity constant and trace-operator norm on V0.
-
-    ``m_a`` is the smallest generalized eigenvalue of (A, A+M) over the V0
-    degrees of freedom, ``1 / (1 + nu)`` with ``nu`` the largest of (M, A);
-    ``gamma_norm**2`` is the largest of (M_G3, A).  Inverse/power iteration
-    with the solvers' shared V0 stiffness factor, in the mesh's numbering,
-    stops when the Rayleigh quotient changes by at most ``tol`` relative,
-    which bounds the relative change of ``m_a`` too.  It converges at the
-    square of the ratio of the two largest eigenvalues, about 0.2 for (M, A)
-    on the unit square (0.77 for (A+M, A)), so ``nu`` takes about 6 steps:
-    0.46 / 4.0 / 26 ms at n = 16 / 64 / 160 on a 2-core x86_64 VM.
-    """
-    from .hvi_solver import _g3_last_factor  # the solvers own the shared factors
-
-    ops = mesh_operators(mesh)
-    order, lu = _g3_last_factor(ops)
-
-    def largest(B, what):
-        v = np.zeros(B.shape[0])  # zero on G1 throughout
-        v[order] = 1.0
-        Bv, lam = B @ v, 0.0
-        for it in range(1, max_iters + 1):
-            v[order] = lu.solve(Bv[order])  # w = A^-1 B v
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                raise ConvergenceError(f"{what}: iterate collapsed to zero", lam)
-            Bw = B @ v
-            lam_new = float(v @ Bw) / float(v @ Bv)  # w'Bw / w'Aw, as A w = B v
-            v, Bv = v / norm, Bw / norm
-            if it > 1 and abs(lam_new - lam) <= tol * abs(lam_new):
-                return lam_new, it
-            lam = lam_new
-        raise ConvergenceError(f"{what}: power iteration hit the cap of {max_iters}", lam)
-
-    nu, it_ma = largest(ops.mass, "coercivity constant")
-    lam_g, it_g = largest(gamma3_mass(mesh), "trace norm")
-
-    m_a = 1.0 / (1.0 + nu)
-    gamma_norm = float(np.sqrt(max(lam_g, 0.0)))
-    if not (0.0 < m_a <= 1.0):
-        raise ConvergenceError("coercivity constant left (0, 1]", m_a)
-    if gamma_norm <= 0.0:
-        raise ConvergenceError("trace norm must be positive", gamma_norm)
-    return CoercivityEstimates(
-        m_a=m_a, gamma_norm=gamma_norm, iterations_m_a=it_ma, iterations_gamma=it_g
-    )

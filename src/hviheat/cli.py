@@ -372,6 +372,16 @@ def parse_config(text: str) -> RunConfig:
                 )
             elif kind in ("hvi", "vi") and cfg.potential_id is None:
                 errors.append(f"line {lineno}: problem.kind = {kind} needs a potential.id")
+        if cfg.problem_kind == "vi" and cfg.potential_id is not None:
+            try:
+                convex = _build_potential(cfg).convex
+            except ValueError:  # unknown potential or bad parameters: the run reports it
+                convex = True
+            if not convex:
+                errors.append(
+                    f"line {line_of['potential_id']}: {cfg.potential_id} is not convex, and "
+                    "problem.kind = vi is hvi restricted to convex j"
+                )
         if cfg.command == "check-potential" and cfg.potential_id is None:
             errors.append("potential.id is required for command=check-potential")
 

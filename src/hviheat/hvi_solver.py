@@ -51,6 +51,7 @@ __all__ = [
     "solve_robin",
     "solve_hvi",
     "check_certificate",
+    "trace_constant",
 ]
 
 
@@ -113,11 +114,21 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """A solve's field and certificate, and why the solve stopped.
+
+    ``stop`` is ``certified`` when the certificate is within the options'
+    tolerances, ``budget`` when ``solve_hvi`` spent ``max_iters`` without
+    certifying, and ``stalled`` when a solve ended uncertified with budget
+    left (a sweep that moved no node, or a linear solve that missed its
+    tolerances).
+    """
+
     solution: Solution
     iterations: int
     linear_residual: float
     certificate: Certificate
     converged: bool
+    stop: str
 
 
 # Both factors are of SPD matrices: diagonal pivots, symmetric structure.
@@ -179,6 +190,25 @@ def _trace_reduction(ops: MeshOperators) -> np.ndarray:
     return ops.once("trace_reduction", build)
 
 
+def trace_constant(mesh: Mesh) -> float:
+    """``gamma_W^2``: the sharp constant of ``sum_G3 m_i v_i^2 <= gamma_W^2 a(v, v)`` on V0.
+
+    ``m_i`` are the lumped G3 weights that ``solve_hvi`` uses.  The energy
+    of the best extension of a trace is ``v_g' S v_g``, so ``gamma_W^2`` is
+    the largest eigenvalue of the pencil ``(W_gg, S)``: one over the
+    smallest of ``W^-1/2 S W^-1/2``, from one dense ``eigvalsh`` on the
+    mesh's cached Schur complement.  Computed once per mesh.
+    """
+    ops = mesh_operators(mesh)
+
+    def build():
+        scale = 1.0 / np.sqrt(ops.gamma3_weights[ops.gamma3])
+        scaled = _trace_reduction(ops) * scale[:, None] * scale[None, :]
+        return 1.0 / float(np.linalg.eigvalsh(scaled)[0])
+
+    return ops.once("trace_constant", build)
+
+
 def _reduced_load(ops: MeshOperators, f: np.ndarray) -> np.ndarray:
     """``f_g - A_gb A_bb^-1 f_b``: the load ``f`` as the G3 trace sees it."""
     return f[ops.gamma3] - ops.coupling.T @ _bulk_factor(ops).solve(f[ops.bulk])
@@ -214,14 +244,20 @@ def _report(
     cert: Certificate,
     opts: SolverOptions,
     iterations: int = 1,
+    stop: str = "stalled",
 ) -> SolveReport:
-    """Report of the field ``u``, converged exactly when ``cert`` is within ``opts``."""
+    """Report of the field ``u``, converged exactly when ``cert`` is within ``opts``.
+
+    ``stop`` says why an uncertified solve ended; a certified one reports
+    ``certified``.
+    """
     solution = Solution(
         values=u,
         norm_v=v_norm(ops.stiffness, ops.mass, u),
         seminorm_v0=v0_seminorm(ops.stiffness, u),
     )
-    return SolveReport(solution, iterations, relres, cert, cert.within(opts))
+    converged = cert.within(opts)
+    return SolveReport(solution, iterations, relres, cert, converged, "certified" if converged else stop)
 
 
 def _certificate(
@@ -405,4 +441,7 @@ def solve_hvi(
 
     full, relres = _recover(ops, f, u)
     cert = _certificate(ops, f, data.alpha, p, full)
-    return _report(ops, full, relres, cert, opts, iterations)
+    # with budget left, an uncertified solve stalled: no node moved, or the
+    # trace met the inclusion and the full certificate did not
+    stop = "budget" if iterations >= opts.max_iters else "stalled"
+    return _report(ops, full, relres, cert, opts, iterations, stop)

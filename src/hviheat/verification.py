@@ -20,12 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import (
-    ProblemData,
-    estimate_coercivity,
-    mesh_operators,
-    v_norm,
-)
+from .assembly import ProblemData, mesh_operators, v_norm
 from .mesh import BoundaryTag, Mesh, generate_unit_square_mesh
 from .hvi_solver import (
     DEFAULT_OPTIONS,
@@ -34,6 +29,7 @@ from .hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
+    trace_constant,
 )
 from .potentials import (
     Potential,
@@ -179,6 +175,19 @@ def _l2_gamma2(mesh: Mesh, pairs: np.ndarray) -> float:
 def _v_norm(mesh: Mesh, v: np.ndarray) -> float:
     ops = mesh_operators(mesh)
     return v_norm(ops.stiffness, ops.mass, v)
+
+
+def _stiffness_m_matrix(mesh: Mesh) -> str:
+    """``yes`` when no free (non-G1) row of the stiffness has a positive off-diagonal entry.
+
+    Then the free block is an M-matrix and the discrete maximum principle
+    behind the comparison results holds; it explains an outcome, it is not
+    a hypothesis the experiments check.
+    """
+    ops = mesh_operators(mesh)
+    free = ops.dof_v0.free_indices
+    rows = ops.stiffness[free].tocoo()
+    return "no" if np.any(rows.data[free[rows.row] != rows.col] > 0.0) else "yes"
 
 
 def _sweep(
@@ -358,7 +367,11 @@ def verify_comparison(
     return ExperimentReport(
         experiment="comparison",
         config=_config(
-            alphas=",".join(f"{a:g}" for a in alphas), potential=p.id, b=p.b, n=n
+            alphas=",".join(f"{a:g}" for a in alphas),
+            potential=p.id,
+            b=p.b,
+            n=n,
+            stiffness_m_matrix=_stiffness_m_matrix(mesh),
         ),
         rows=tuple(rows),
         claims=tuple(claims),
@@ -422,6 +435,7 @@ def verify_monotonicity(
             override=override,
             scope="outside-theorem" if scope else "in-theorem",
             n=n,
+            stiffness_m_matrix=_stiffness_m_matrix(mesh),
         ),
         rows=tuple(rows),
         claims=tuple(claims),
@@ -559,10 +573,14 @@ def verify_continuous_dependence(
 ) -> ExperimentReport:
     """Stability of the solution under perturbations of energy and flux.
 
-    Requires a finite relaxed-monotonicity constant and the smallness
-    condition ``m_a > alpha m_j |gamma|^2`` (verified with the discrete sharp
-    constants), under which the solution is unique and depends continuously
-    on the data: errors must decrease monotonically and stay within a fitted
+    Requires the smallness condition ``alpha m_j gamma_W^2 < 1``, with
+    ``m_j`` the relaxed-monotonicity constant and ``gamma_W^2`` the sharp
+    constant of the lumped G3 trace in the energy seminorm
+    (``trace_constant``).  For two solutions of the discrete problem,
+    relaxed monotonicity node by node gives
+    ``|e|_a^2 <= alpha m_j e'We <= alpha m_j gamma_W^2 |e|_a^2``, so under
+    the condition the solution is unique and depends continuously on the
+    data: errors must decrease monotonically and stay within a fitted
     linear multiple of the data perturbation.  When smallness fails the
     experiment downgrades to existence-only reporting: every case is still
     solved and certified, but the convergence claims are labeled out of
@@ -574,9 +592,9 @@ def verify_continuous_dependence(
     m_j = p.m_j if p.m_j is not None else estimate_relaxed_monotonicity(p)
     base = solve_hvi(mesh, data, p, opts)
     u = base.solution.values
-    # after the solve, which built the mesh's shared factors that it reuses
-    est = estimate_coercivity(mesh)
-    margin = est.smallness_margin(data.alpha, m_j)
+    # after the solve, which built the Schur complement that it reuses
+    gamma_sq = trace_constant(mesh)
+    margin = 1.0 - data.alpha * m_j * gamma_sq
     kinks = p.concave_kinks() if np.isinf(m_j) else ()
     kink = f", concave kink at r={kinks[0]:.6g}" if kinks else ""
     scope = margin <= 0.0
@@ -602,7 +620,11 @@ def verify_continuous_dependence(
             margin,
             0.0,
             scope=scope,
-            detail=f"m_a={est.m_a:.6g}, |gamma|={est.gamma_norm:.6g}, m_j={m_j:.6g}{kink}",
+            detail=(
+                "alpha m_j gamma_W^2 < 1, implied by the mixed form m_a > alpha m_j |gamma|^2 "
+                "and the V-norm form m_a > alpha m_j gamma_V^2 (on the unit square: "
+                f"alpha m_j < 0.712, < 0.935 and < 1); gamma_W^2={gamma_sq:.6g}, m_j={m_j:.6g}{kink}"
+            ),
         )
     )
     claims += _nonincreasing(errors, slack, scope=scope)

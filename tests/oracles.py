@@ -16,8 +16,9 @@ and G3 vertex sets; the library scatters the classes over the tagged edges.
 G3 node, and ``robin_reference`` solves the Robin problem directly on the
 free rows of ``A + alpha M``; the library gets both from the G3 trace.
 ``coercivity_reference`` gets the coercivity constant and the trace norm
-from dense generalized eigenproblems; the library iterates with its sparse
-factor.
+from dense generalized eigenproblems, and ``trace_constant_reference`` the
+sharp constant of the lumped G3 trace; the library gets the latter from the
+Schur complement of its sparse factor.
 
 The superpotential tables are closed forms for the built-in laws, and
 ``prox_reference`` minimizes the scalar proximal energy by brute force.
@@ -325,6 +326,21 @@ def coercivity_reference(mesh) -> tuple[float, float]:
     m_a = sla.eigh(A, A + M, eigvals_only=True)[0]
     gamma_sq = sla.eigh(Mg3, A, eigvals_only=True)[-1]
     return float(m_a), float(np.sqrt(gamma_sq))
+
+
+def trace_constant_reference(mesh, full_norm: bool = False) -> float:
+    """The largest eigenvalue of ``(W, A)`` from dense ``eigh`` on the free (non-G1) block.
+
+    ``W`` is the diagonal of lumped G3 weights (zero off G3).  With
+    ``full_norm`` the pencil is ``(W, A + M)``, the trace constant in the
+    full V-norm.
+    """
+    free = np.nonzero(vertex_classes_reference(mesh) != VertexClass.GAMMA1)[0]
+    A = assemble_stiffness(mesh)
+    if full_norm:
+        A = A + assemble_mass(mesh)
+    W = np.diag(assemble_boundary_mass(mesh)[0][free])
+    return float(sla.eigh(W, A.toarray()[np.ix_(free, free)], eigvals_only=True)[-1])
 
 
 def exp_quadratic_table(b: float, r: float) -> tuple[float, float, float]:

@@ -15,10 +15,9 @@ from hviheat.assembly import (
     assemble_load,
     assemble_stiffness,
     build_dof_map,
-    estimate_coercivity,
 )
 from hviheat.cli import parse_config, run
-from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin
+from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin, trace_constant
 from hviheat.mesh import generate_unit_square_mesh
 from hviheat.potentials import (
     AbsPotential,
@@ -220,10 +219,10 @@ def test_criterion_8_certificate_soundness():
 def test_criterion_9_uniqueness_under_smallness():
     mesh = generate_unit_square_mesh(8)
     p = ExpQuadraticPotential(b=1.0)
-    est = estimate_coercivity(mesh)
+    gamma_sq = trace_constant(mesh)
 
     alpha_small = 0.3
-    margin = est.smallness_margin(alpha_small, p.m_j)
+    margin = 1.0 - alpha_small * p.m_j * gamma_sq
     assert margin > 0.0
     data = ProblemData.make(mesh, g=-0.5, q=0.2, b=1.0, alpha=alpha_small)
     rng = np.random.default_rng(99)
@@ -235,7 +234,7 @@ def test_criterion_9_uniqueness_under_smallness():
     spread = max(float(np.max(np.abs(f - fields[0]))) for f in fields)
 
     alpha_big = 10.0
-    assert est.smallness_margin(alpha_big, p.m_j) <= 0.0  # outside the uniqueness regime
+    assert 1.0 - alpha_big * p.m_j * gamma_sq <= 0.0  # outside the uniqueness regime
     data_big = ProblemData.make(mesh, g=-0.5, q=0.2, b=1.0, alpha=alpha_big)
     existence_ok = all(
         solve_hvi(mesh, data_big, p, initial=rng.uniform(-2.0, 2.0, mesh.num_vertices)).converged

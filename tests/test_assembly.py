@@ -14,16 +14,16 @@ from hviheat.assembly import (
     assemble_mass,
     assemble_stiffness,
     build_dof_map,
-    estimate_coercivity,
     gamma3_mass,
     mesh_operators,
     mesh_report,
     v_norm,
 )
-from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin
+from hviheat.hvi_solver import solve_dirichlet, solve_hvi, solve_robin, trace_constant
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh
 from hviheat.potentials import make_potential
-from oracles import coercivity_reference, vertex_classes_reference
+from hviheat.verification import verify_continuous_dependence
+from oracles import coercivity_reference, trace_constant_reference, vertex_classes_reference
 
 
 def test_two_triangle_stiffness_hand_assembled():
@@ -201,81 +201,57 @@ def _jittered(n: int, seed: int) -> Mesh:
     return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
 
 
-COERCIVITY_MESHES = {
-    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in (4, 8, 16)},
+GATE_MESHES = {
+    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in (4, 8, 12, 16)},
     "renumbered_8": lambda: _renumbered(8, 8),
     "jittered_9": lambda: _jittered(9, 2),
     "jittered_12": lambda: _jittered(12, 5),
 }
 
 
-class TestCoercivity:
-    @pytest.mark.parametrize("name", COERCIVITY_MESHES)
-    def test_matches_the_dense_eigenproblems(self, name):
-        m = COERCIVITY_MESHES[name]()
-        est = estimate_coercivity(m)
-        m_a, gamma_norm = coercivity_reference(m)
-        assert abs(est.m_a - m_a) <= 1e-10 * m_a
-        assert abs(est.gamma_norm - gamma_norm) <= 1e-10 * gamma_norm
+class TestSmallnessGate:
+    """``trace_constant`` and the ``continuous_dependence`` gate built on it."""
 
-    def test_unshifted_pencil_converges_in_a_few_steps(self):
-        est = estimate_coercivity(generate_unit_square_mesh(16))
-        assert est.iterations_m_a <= 10
-        assert est.iterations_gamma == 2
+    @pytest.mark.parametrize("name", GATE_MESHES)
+    def test_gate_matches_the_dense_pencil(self, name):
+        m = GATE_MESHES[name]()
+        expected = trace_constant_reference(m)
+        assert abs(trace_constant(m) - expected) <= 1e-10 * expected
+        alpha, p = 0.5, make_potential("exp_quadratic", b=1.0)  # m_j = 1
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=alpha)
+        x, y = m.vertices[:, 0], m.vertices[:, 1]
+        perturbed = [ProblemData(g=d.g + x * y, q=d.q, b=d.b, alpha=alpha)]
+        rep = verify_continuous_dependence(m, d, p, perturbed)
+        gate = next(c for c in rep.claims if c.claim == "smallness_condition")
+        assert abs(gate.margin - (1.0 - alpha * expected)) <= 1e-10
+        assert gate.verdict == "pass" and f"gamma_W^2={expected:.6g}, m_j=1" in gate.detail
 
-    def test_constants_in_expected_ranges(self):
-        est = estimate_coercivity(generate_unit_square_mesh(4))
-        assert 0.0 < est.m_a < 1.0
-        assert est.gamma_norm > 0.0
-
-    def test_mesh_stability(self):
-        e4 = estimate_coercivity(generate_unit_square_mesh(4))
-        e8 = estimate_coercivity(generate_unit_square_mesh(8))
-        assert abs(e4.m_a - e8.m_a) <= 0.1 * e8.m_a
-        assert abs(e4.gamma_norm - e8.gamma_norm) <= 0.1 * e8.gamma_norm
-
-    def test_trace_norm_is_one_on_unit_square(self):
-        # the affine field x attains the trace bound exactly on this geometry
-        est = estimate_coercivity(generate_unit_square_mesh(6))
-        assert abs(est.gamma_norm - 1.0) <= 1e-6
-
-    def test_discrete_coercivity_on_random_fields(self):
-        m = generate_unit_square_mesh(5)
-        est = estimate_coercivity(m)
-        A = assemble_stiffness(m)
-        M = assemble_mass(m)
-        free = build_dof_map(m, "V0").free_indices
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            v = np.zeros(m.num_vertices)
-            v[free] = rng.standard_normal(len(free))
-            energy = v @ (A @ v)
-            full = energy + v @ (M @ v)
-            assert energy >= est.m_a * full - 1e-10
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_thresholds_are_ordered_on_the_unit_square(self, n):
+        # the largest alpha m_j each sufficient condition allows: the mixed form
+        # m_a > alpha m_j gamma^2, the V-norm form m_a > alpha m_j gamma_V^2, and
+        # the energy form alpha m_j gamma_W^2 < 1 of the gate
+        m = generate_unit_square_mesh(n)
+        m_a, gamma = coercivity_reference(m)
+        mixed = m_a / gamma**2
+        v_form = m_a / trace_constant_reference(m, full_norm=True)
+        energy = 1.0 / trace_constant(m)
+        assert 0.71 < mixed < 0.72 and 0.93 < v_form < 0.94
+        assert mixed < v_form < energy
+        # u = x attains the bound: its trace is 1 on the unit-length G3, its energy 1
+        assert abs(energy - 1.0) <= 1e-12
 
     def test_trace_bound_on_random_fields(self):
         m = generate_unit_square_mesh(5)
-        est = estimate_coercivity(m)
-        _, mg3 = assemble_boundary_mass(m)
+        gamma_sq = trace_constant(m)
+        weights = assemble_boundary_mass(m)[0]
         A = assemble_stiffness(m)
         free = build_dof_map(m, "V0").free_indices
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = np.zeros(m.num_vertices)
             v[free] = rng.standard_normal(len(free))
-            trace_sq = v @ (mg3 @ v)
-            assert trace_sq <= est.gamma_norm**2 * (v @ (A @ v)) * (1.0 + 1e-6)
-
-    def test_product_bound(self):
-        est = estimate_coercivity(generate_unit_square_mesh(4))
-        assert est.gamma_norm**2 * est.m_a <= 1.0 + 1e-10
-
-    def test_iteration_cap_reports_last_estimate(self):
-        from hviheat.assembly import ConvergenceError
-
-        with pytest.raises(ConvergenceError) as err:
-            estimate_coercivity(generate_unit_square_mesh(4), max_iters=2)
-        assert np.isfinite(err.value.last_estimate)
+            assert weights @ v**2 <= gamma_sq * (v @ (A @ v)) * (1.0 + 1e-12)
 
 
 def test_v_norm_matches_quadratic_form():
@@ -295,8 +271,8 @@ class TestMeshOperators:
         assert (ops.mass != assemble_mass(m)).nnz == 0
         weights, consistent = assemble_boundary_mass(m)
         assert ops.gamma3_weights.tobytes() == weights.tobytes()
-        # only a consistent Robin solve and estimate_coercivity read the
-        # consistent G3 mass, and between them it is built once
+        # only a consistent Robin solve reads the consistent G3 mass, and it
+        # is built once
         builds = []
         monkeypatch.setattr(
             hviheat.assembly, "assemble_boundary_mass",
@@ -307,9 +283,10 @@ class TestMeshOperators:
         solve_hvi(m, data, make_potential("abs", b=1.0))  # the vi kind
         solve_dirichlet(m, data)
         solve_robin(m, data, boundary_mass="lumped")
+        trace_constant(m)
         assert builds == []
         solve_robin(m, data)
-        estimate_coercivity(m)
+        solve_robin(m, data)
         assert builds == [m]
         mg3 = gamma3_mass(m)
         assert gamma3_mass(m) is mg3 and builds == [m]
@@ -344,10 +321,10 @@ class TestMeshOperators:
         gc.disable()
         try:
             solve_robin(m, ProblemData.make(m, g=-1.0, b=1.0, alpha=10.0))
-            estimate_coercivity(m)
+            trace_constant(m)
             ops = mesh_operators(m)
             assert set(ops._derived) == {
-                "bulk_factor", "g3_last_factor", "trace_reduction", "gamma3_mass"
+                "bulk_factor", "g3_last_factor", "trace_reduction", "gamma3_mass", "trace_constant"
             }
             del m, ops
             assert ref() is None

@@ -170,6 +170,35 @@ class TestParseConfig:
         assert f"line 4: {message}" in payload["message"]
 
     @pytest.mark.parametrize(
+        "command, head",
+        [
+            ("solve", "problem.kind = vi\nproblem.alpha = 10"),
+            ("experiment", "experiment.id = refinement\nproblem.kind = vi"),
+        ],
+    )
+    @pytest.mark.parametrize("potential", ["exp_quadratic", "min_quadratics"])
+    def test_vi_with_a_nonconvex_potential_exits_2_naming_the_line(
+        self, tmp_path, command, head, potential
+    ):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"command = {command}\nmesh.n = 4\n{head}\npotential.id = {potential}\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        payload = json.loads((tmp_path / "out" / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert payload["message"] == (
+            f"line 5: {potential} is not convex, and problem.kind = vi is hvi restricted to convex j"
+        )
+
+    def test_vi_takes_min_quadratics_with_equal_curvatures(self, tmp_path):
+        # with k1 = k2 the lower parabola wins everywhere, so the potential is convex
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "command = solve\nmesh.n = 4\nproblem.kind = vi\nproblem.g = -1\nproblem.b = 1\n"
+            "problem.alpha = 10\npotential.id = min_quadratics\npotential.params.k2 = 1\n"
+        )
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize(
         "head,line,message",
         [
             ("solve\nproblem.kind = robin", "potential.id = abs",

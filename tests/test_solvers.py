@@ -15,7 +15,6 @@ from hviheat.assembly import (
     assemble_load,
     assemble_stiffness,
     build_dof_map,
-    estimate_coercivity,
 )
 from hviheat.cli import parse_config, run
 from hviheat.hvi_solver import (
@@ -25,6 +24,7 @@ from hviheat.hvi_solver import (
     solve_dirichlet,
     solve_hvi,
     solve_robin,
+    trace_constant,
 )
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh, load_mesh, save_mesh
 from hviheat.potentials import (
@@ -278,6 +278,28 @@ class TestHvi:
         rep = solve_hvi(m, d, ExpQuadraticPotential(b=1.0), SolverOptions(max_iters=0))
         assert not rep.converged
         assert rep.certificate.gamma3_inclusion_max > 0.0
+        assert (rep.iterations, rep.stop) == (0, "budget")
+
+    def test_stop_names_why_the_solve_ended(self):
+        m = generate_unit_square_mesh(8)
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=10.0)
+        for rep in (
+            solve_hvi(m, d, ExpQuadraticPotential(b=1.0)),
+            solve_hvi(m, d, AbsPotential(b=1.0)),
+            solve_robin(m, d),
+            solve_robin(m, d, boundary_mass="lumped"),
+            solve_dirichlet(m, d),
+        ):
+            assert rep.converged and rep.stop == "certified"
+        # below the rounding floor the sweeps stop moving with budget left
+        floor = SolverOptions(tol_inclusion=1e-300)
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)  # off the kink
+        rep = solve_hvi(m, d, AbsPotential(b=1.0), floor)
+        assert not rep.converged and rep.iterations < floor.max_iters
+        assert rep.stop == "stalled"
+        # a linear solve has no budget: missing the tolerance is a stall
+        rep = solve_robin(m, d, SolverOptions(tol_interior=1e-300))
+        assert (rep.converged, rep.stop) == (False, "stalled")
 
     def test_anchor_mismatch_rejected(self):
         m = generate_unit_square_mesh(2)
@@ -352,12 +374,12 @@ class TestHvi:
         )
         loaded = load_mesh(save_mesh(renumbered))
         # only where the smallness margin is positive is the solution unique
-        est = estimate_coercivity(base)
+        gamma_sq = trace_constant(base)
         cases = [
             (g, q, b, alpha)
             for g, q, b in sorted({case[:3] for case in GRID})
             for alpha in (0.3, 1.0, 10.0, 100.0)
-            if est.smallness_margin(alpha, make_potential(pid).m_j) > 0.0
+            if 1.0 - alpha * make_potential(pid).m_j * gamma_sq > 0.0
         ]
         assert cases
         for g, q, b, alpha in cases:
@@ -366,6 +388,27 @@ class TestHvi:
             v = solve_hvi(loaded, ProblemData.make(loaded, g=g, q=q, b=b, alpha=alpha), p)
             assert u.converged and v.converged
             assert np.max(np.abs(v.solution.values[perm] - u.solution.values)) <= 1e-8
+
+
+def test_two_certified_fields_where_smallness_fails():
+    # min_quadratics has m_j = inf: each parabola taken at every G3 node is a
+    # Robin problem with coefficient alpha k, and both fields certify
+    m = generate_unit_square_mesh(16)
+    p = make_potential("min_quadratics", b=1.0)  # k1 = 1 outside, k2 = 3 inside
+    d = ProblemData.make(m, g=-4.0, q=0.0, b=1.0, alpha=1.0)
+    g3 = gamma3_nodes(m)
+    traces = []
+    for k in (1.0, 3.0):
+        branch = ProblemData.make(m, g=-4.0, q=0.0, b=1.0, alpha=k)
+        u = solve_robin(m, branch, boundary_mass="lumped").solution.values
+        cert = check_certificate(m, d, p, u)
+        assert cert.interior_residual_max <= 1e-9 and cert.gamma3_inclusion_max <= 1e-8
+        traces.append(u)
+    assert np.all(np.abs(traces[0][g3] - 1.0 + 1.50) <= 0.01)
+    assert np.all(np.abs(traces[1][g3] - 1.0 + 0.75) <= 0.01)
+    rep = solve_hvi(m, d, p)
+    assert rep.converged
+    assert np.max(np.abs(rep.solution.values - traces[0])) <= 1e-8
 
 
 class TestCertificate:

@@ -7,8 +7,8 @@ import hviheat.assembly
 import hviheat.hvi_solver
 import hviheat.verification
 from hviheat.assembly import ProblemData, mesh_operators
-from hviheat.hvi_solver import SolverOptions, solve_dirichlet, solve_robin
-from hviheat.mesh import generate_unit_square_mesh
+from hviheat.hvi_solver import SolverOptions, solve_dirichlet, solve_robin, trace_constant
+from hviheat.mesh import Mesh, generate_unit_square_mesh
 from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
@@ -26,7 +26,7 @@ from hviheat.verification import (
     verify_monotonicity,
 )
 
-from oracles import coercivity_reference
+from oracles import trace_constant_reference
 
 
 def mesh8():
@@ -138,24 +138,27 @@ class TestComparison:
 
 
 def _count_factorizations(monkeypatch):
-    """Record each ``splu`` of the solvers, with whether ``estimate_coercivity`` was running."""
+    """Record each ``splu`` of the solvers, with whether one of the experiments' solves was running."""
     splu = hviheat.hvi_solver.spla.splu
-    estimate = hviheat.verification.estimate_coercivity
     factored, inside = [], []
 
     def counting_splu(A, *args, **kwargs):
         factored.append((A.shape, bool(inside)))
         return splu(A, *args, **kwargs)
 
-    def flagged_estimate(*args, **kwargs):
-        inside.append(1)
-        try:
-            return estimate(*args, **kwargs)
-        finally:
-            inside.pop()
+    def flagged(solve):
+        def run(*args, **kwargs):
+            inside.append(1)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return run
 
     monkeypatch.setattr(hviheat.hvi_solver, "spla", SimpleNamespace(splu=counting_splu))
-    monkeypatch.setattr(hviheat.verification, "estimate_coercivity", flagged_estimate)
+    for name in ("solve_dirichlet", "solve_robin", "solve_hvi"):
+        monkeypatch.setattr(hviheat.verification, name, flagged(getattr(hviheat.verification, name)))
     return factored
 
 
@@ -168,15 +171,45 @@ def test_linear_theorem_factors_twice_for_five_alphas(monkeypatch):
     assert len(factored) == 2
 
 
-def test_coercivity_estimate_reuses_the_shared_factor(monkeypatch):
+def test_continuous_dependence_factors_only_in_its_solves(monkeypatch):
+    # the smallness gate reads the Schur complement that the solves cached:
+    # no factorization and no consistent G3 mass of its own
     factored = _count_factorizations(monkeypatch)
+    builds = []
+    assemble = hviheat.assembly.assemble_boundary_mass
+    monkeypatch.setattr(
+        hviheat.assembly, "assemble_boundary_mass", lambda mesh: builds.append(mesh) or assemble(mesh)
+    )
     m = mesh8()
     d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
     shape = m.vertices[:, 0] * (1.0 - m.vertices[:, 0])
     perturbed = [ProblemData(g=d.g + 2.0**-k * shape, q=d.q, b=d.b, alpha=d.alpha) for k in range(3)]
-    verify_continuous_dependence(m, d, QuadraticPotential(b=1.0), perturbed)
+    rep = verify_continuous_dependence(m, d, QuadraticPotential(b=1.0), perturbed)
+    assert rep.passed
     assert len(factored) == 2
-    assert not any(during for _, during in factored)
+    assert all(during for _, during in factored)
+    assert builds == [] and "gamma3_mass" not in mesh_operators(m)._derived
+
+
+def _obtuse_mesh() -> Mesh:
+    """``mesh8()`` with the vertex at (1/2, 1/2) moved by 0.45 h toward (1, 1)."""
+    m = mesh8()
+    vertices = m.vertices.copy()
+    vertices[np.all(vertices == 0.5, axis=1)] += 0.45 / 8
+    return Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
+
+
+@pytest.mark.parametrize(
+    "experiment, kwargs",
+    [(verify_comparison, {"alphas": (1.0, 10.0)}), (verify_monotonicity, {"alpha_pairs": ((1.0, 10.0),)})],
+)
+def test_stiffness_m_matrix_is_reported_not_gated(experiment, kwargs):
+    for mesh, expected in ((mesh8(), "yes"), (_obtuse_mesh(), "no")):
+        d = ProblemData.make(mesh, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        rep = experiment(mesh, d, QuadraticPotential(b=1.0), **kwargs)
+        assert rep.passed
+        assert ("stiffness_m_matrix", expected) in rep.config
+        assert f"config stiffness_m_matrix = {expected}" in rep.summary()
 
 
 class TestMonotonicity:
@@ -294,14 +327,13 @@ class TestContinuousDependence:
     @pytest.mark.parametrize(
         "p, alpha", [(QuadraticPotential(b=1.0), 2.0), (ExpQuadraticPotential(b=1.0), 0.5)]
     )
-    def test_smallness_margin_from_the_sharp_constants(self, p, alpha):
+    def test_smallness_margin_from_the_trace_constant(self, p, alpha):
         m = mesh8()
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=alpha)
         perturbed = self.perturbation_sequence(m, d, 5)
         rep = verify_continuous_dependence(m, d, p, perturbed, ratio_target=2.0)
-        m_a, gamma_norm = coercivity_reference(m)
-        expected = m_a - alpha * p.m_j * gamma_norm**2
-        assert abs(claim(rep, "smallness_condition").margin - expected) <= 1e-9 * expected
+        expected = 1.0 - alpha * p.m_j * trace_constant_reference(m)
+        assert abs(claim(rep, "smallness_condition").margin - expected) <= 1e-10
         assert [(c.claim, c.verdict) for c in rep.claims] == [
             ("smallness_condition", "pass"),
             ("error_nonincreasing", "pass"),
@@ -309,6 +341,18 @@ class TestContinuousDependence:
             ("per_step_contraction", "pass"),
         ]
         assert [row.verdict for row in rep.rows] == ["pass"] * 5
+
+    def test_gate_is_the_energy_form(self):
+        # at alpha m_j = 0.8 the mixed form (< 0.712) fails, the energy form (< 1) holds
+        m = generate_unit_square_mesh(16)
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=0.8)
+        rep = verify_continuous_dependence(
+            m, d, ExpQuadraticPotential(b=1.0), self.perturbation_sequence(m, d, 5)
+        )
+        smallness = claim(rep, "smallness_condition")
+        assert smallness.verdict == "pass" and abs(smallness.margin - 0.2) <= 1e-12
+        assert "mixed form" in smallness.detail and "V-norm form" in smallness.detail
+        assert rep.passed and ("smallness", "holds") in rep.config
 
     def test_concave_kink_is_out_of_scope_by_name(self):
         m = mesh8()
@@ -329,7 +373,7 @@ class TestContinuousDependence:
 
     def test_mismatched_alpha_fails_before_any_solve(self, monkeypatch):
         calls = []
-        for name in ("solve_hvi", "estimate_coercivity"):
+        for name in ("solve_hvi", "trace_constant"):
             monkeypatch.setattr(
                 hviheat.verification, name, lambda *args, name=name, **kwargs: calls.append(name)
             )
