@@ -114,21 +114,24 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A solve's field and certificate, and why the solve stopped.
-
-    ``stop`` is ``certified`` when the certificate is within the options'
-    tolerances, ``budget`` when ``solve_hvi`` spent ``max_iters`` without
-    certifying, and ``stalled`` when a solve ended uncertified with budget
-    left (a sweep that moved no node, or a linear solve that missed its
-    tolerances).
-    """
-
     solution: Solution
     iterations: int
     linear_residual: float
     certificate: Certificate
     converged: bool
-    stop: str
+
+    def stop(self, opts: SolverOptions) -> str:
+        """Why the solve under ``opts`` ended.
+
+        ``certified`` when it converged, ``budget`` when it spent
+        ``max_iters`` without certifying, and ``stalled`` when it ended
+        uncertified with budget left (a sweep that moved no node, or a
+        linear solve, which counts one iteration, that missed its
+        tolerances).
+        """
+        if self.converged:
+            return "certified"
+        return "budget" if self.iterations >= opts.max_iters else "stalled"
 
 
 # Both factors are of SPD matrices: diagonal pivots, symmetric structure.
@@ -197,14 +200,20 @@ def trace_constant(mesh: Mesh) -> float:
     of the best extension of a trace is ``v_g' S v_g``, so ``gamma_W^2`` is
     the largest eigenvalue of the pencil ``(W_gg, S)``: one over the
     smallest of ``W^-1/2 S W^-1/2``, from one dense ``eigvalsh`` on the
-    mesh's cached Schur complement.  Computed once per mesh.
+    mesh's cached Schur complement.  That eigenvalue is lowered by the
+    eigensolver's backward-error bound ``n eps lambda_max``, so the value
+    errs high, by about ``n eps`` times the condition number: a smallness
+    margin that rounding could cancel does not come out positive.
+    Computed once per mesh.
     """
     ops = mesh_operators(mesh)
 
     def build():
         scale = 1.0 / np.sqrt(ops.gamma3_weights[ops.gamma3])
         scaled = _trace_reduction(ops) * scale[:, None] * scale[None, :]
-        return 1.0 / float(np.linalg.eigvalsh(scaled)[0])
+        eigenvalues = np.linalg.eigvalsh(scaled)
+        rounding = len(eigenvalues) * np.finfo(float).eps * eigenvalues[-1]
+        return 1.0 / float(eigenvalues[0] - rounding)
 
     return ops.once("trace_constant", build)
 
@@ -244,20 +253,14 @@ def _report(
     cert: Certificate,
     opts: SolverOptions,
     iterations: int = 1,
-    stop: str = "stalled",
 ) -> SolveReport:
-    """Report of the field ``u``, converged exactly when ``cert`` is within ``opts``.
-
-    ``stop`` says why an uncertified solve ended; a certified one reports
-    ``certified``.
-    """
+    """Report of the field ``u``, converged exactly when ``cert`` is within ``opts``."""
     solution = Solution(
         values=u,
         norm_v=v_norm(ops.stiffness, ops.mass, u),
         seminorm_v0=v0_seminorm(ops.stiffness, u),
     )
-    converged = cert.within(opts)
-    return SolveReport(solution, iterations, relres, cert, converged, "certified" if converged else stop)
+    return SolveReport(solution, iterations, relres, cert, cert.within(opts))
 
 
 def _certificate(
@@ -441,7 +444,4 @@ def solve_hvi(
 
     full, relres = _recover(ops, f, u)
     cert = _certificate(ops, f, data.alpha, p, full)
-    # with budget left, an uncertified solve stalled: no node moved, or the
-    # trace met the inclusion and the full certificate did not
-    stop = "budget" if iterations >= opts.max_iters else "stalled"
-    return _report(ops, full, relres, cert, opts, iterations, stop)
+    return _report(ops, full, relres, cert, opts, iterations)

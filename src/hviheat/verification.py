@@ -620,11 +620,7 @@ def verify_continuous_dependence(
             margin,
             0.0,
             scope=scope,
-            detail=(
-                "alpha m_j gamma_W^2 < 1, implied by the mixed form m_a > alpha m_j |gamma|^2 "
-                "and the V-norm form m_a > alpha m_j gamma_V^2 (on the unit square: "
-                f"alpha m_j < 0.712, < 0.935 and < 1); gamma_W^2={gamma_sq:.6g}, m_j={m_j:.6g}{kink}"
-            ),
+            detail=f"gamma_W^2={gamma_sq:.6g}, m_j={m_j:.6g}{kink}",
         )
     )
     claims += _nonincreasing(errors, slack, scope=scope)

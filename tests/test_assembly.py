@@ -226,6 +226,18 @@ class TestSmallnessGate:
         assert abs(gate.margin - (1.0 - alpha * expected)) <= 1e-10
         assert gate.verdict == "pass" and f"gamma_W^2={expected:.6g}, m_j=1" in gate.detail
 
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_boundary_of_the_condition_is_out_of_scope(self, n):
+        # gamma_W^2 = 1 on the unit square, so alpha m_j = 1 has exact margin 0,
+        # where the strict condition fails whichever way eigvalsh rounds
+        m = generate_unit_square_mesh(n)
+        p = make_potential("exp_quadratic", b=1.0)  # m_j = 1
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        perturbed = [ProblemData(g=d.g + 0.1, q=d.q, b=d.b, alpha=1.0)]
+        rep = verify_continuous_dependence(m, d, p, perturbed)
+        gate = next(c for c in rep.claims if c.claim == "smallness_condition")
+        assert gate.verdict == "scope" and -1e-10 < gate.margin <= 0.0
+
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_thresholds_are_ordered_on_the_unit_square(self, n):
         # the largest alpha m_j each sufficient condition allows: the mixed form

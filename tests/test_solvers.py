@@ -18,6 +18,7 @@ from hviheat.assembly import (
 )
 from hviheat.cli import parse_config, run
 from hviheat.hvi_solver import (
+    DEFAULT_OPTIONS,
     LinearSolveError,
     SolverOptions,
     check_certificate,
@@ -275,10 +276,11 @@ class TestHvi:
     def test_honest_nonconvergence_when_capped(self):
         m = generate_unit_square_mesh(4)
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=10.0)
-        rep = solve_hvi(m, d, ExpQuadraticPotential(b=1.0), SolverOptions(max_iters=0))
+        capped = SolverOptions(max_iters=0)
+        rep = solve_hvi(m, d, ExpQuadraticPotential(b=1.0), capped)
         assert not rep.converged
         assert rep.certificate.gamma3_inclusion_max > 0.0
-        assert (rep.iterations, rep.stop) == (0, "budget")
+        assert (rep.iterations, rep.stop(capped)) == (0, "budget")
 
     def test_stop_names_why_the_solve_ended(self):
         m = generate_unit_square_mesh(8)
@@ -290,16 +292,17 @@ class TestHvi:
             solve_robin(m, d, boundary_mass="lumped"),
             solve_dirichlet(m, d),
         ):
-            assert rep.converged and rep.stop == "certified"
+            assert rep.converged and rep.stop(DEFAULT_OPTIONS) == "certified"
         # below the rounding floor the sweeps stop moving with budget left
         floor = SolverOptions(tol_inclusion=1e-300)
         d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)  # off the kink
         rep = solve_hvi(m, d, AbsPotential(b=1.0), floor)
         assert not rep.converged and rep.iterations < floor.max_iters
-        assert rep.stop == "stalled"
-        # a linear solve has no budget: missing the tolerance is a stall
-        rep = solve_robin(m, d, SolverOptions(tol_interior=1e-300))
-        assert (rep.converged, rep.stop) == (False, "stalled")
+        assert rep.stop(floor) == "stalled"
+        # a linear solve counts one iteration: missing the tolerance is a stall
+        tight = SolverOptions(tol_interior=1e-300)
+        rep = solve_robin(m, d, tight)
+        assert (rep.converged, rep.stop(tight)) == (False, "stalled")
 
     def test_anchor_mismatch_rejected(self):
         m = generate_unit_square_mesh(2)

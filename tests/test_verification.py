@@ -351,7 +351,7 @@ class TestContinuousDependence:
         )
         smallness = claim(rep, "smallness_condition")
         assert smallness.verdict == "pass" and abs(smallness.margin - 0.2) <= 1e-12
-        assert "mixed form" in smallness.detail and "V-norm form" in smallness.detail
+        assert smallness.detail == "gamma_W^2=1, m_j=1"
         assert rep.passed and ("smallness", "holds") in rep.config
 
     def test_concave_kink_is_out_of_scope_by_name(self):
