@@ -395,7 +395,7 @@ def _fmt(x: float) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``text`` to ``path``, whose directory exists (``run`` and ``main`` make it)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 
@@ -469,7 +469,16 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
 
     _write(out / "solution.csv", _solution_csv(mesh, report.solution.values))
     _write(out / "certificate.csv", _certificate_csv(report))
-    return 0 if report.converged else 1
+    if report.converged:
+        return 0
+    cert = report.certificate
+    print(
+        f"solve not certified: {report.stop(cfg.solver)} after {report.iterations} iterations, "
+        f"interior_residual_max {cert.interior_residual_max:.3e}, "
+        f"gamma3_inclusion_max {cert.gamma3_inclusion_max:.3e}",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _run_experiment(cfg: RunConfig, out: Path) -> int:

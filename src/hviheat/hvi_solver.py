@@ -125,16 +125,22 @@ class SolveReport:
 
         ``certified`` when it converged, ``budget`` when it spent
         ``max_iters`` without certifying, and ``stalled`` when it ended
-        uncertified with budget left (a sweep that moved no node, or a
-        linear solve, which counts one iteration, that missed its
-        tolerances).
+        uncertified with budget left (a sweep that moved no node, a
+        Newton gradient at its rounding floor, or a linear solve, which
+        counts one iteration, that missed its tolerances).
         """
         if self.converged:
             return "certified"
         return "budget" if self.iterations >= opts.max_iters else "stalled"
 
 
+_EPS = np.finfo(float).eps
+
 # Both factors are of SPD matrices: diagonal pivots, symmetric structure.
+# Each is handed its CSR block's transpose, a CSC matrix on the same arrays
+# that equals the block, so SuperLU reads it without a CSC copy: the P1
+# stiffness is bitwise symmetric, since an entry and its mirror sum the same
+# triangle terms, each a symmetric product.
 _SPD_SPLU = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
@@ -148,7 +154,7 @@ def _bulk_factor(ops: MeshOperators) -> spla.SuperLU:
     """
     return ops.once(
         "bulk_factor",
-        lambda: spla.splu(sp.csc_matrix(ops.bulk_block), permc_spec="MMD_AT_PLUS_A", **_SPD_SPLU),
+        lambda: spla.splu(ops.bulk_block.T, permc_spec="MMD_AT_PLUS_A", **_SPD_SPLU),
     )
 
 
@@ -165,8 +171,7 @@ def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, spla.SuperLU]:
     def build():
         nb = len(ops.bulk)
         order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).perm_c)], ops.gamma3])
-        K = sp.csc_matrix(ops.stiffness[order][:, order])
-        lu = spla.splu(K, permc_spec="NATURAL", **_SPD_SPLU)
+        lu = spla.splu(ops.stiffness[order][:, order].T, permc_spec="NATURAL", **_SPD_SPLU)
         trailing = np.arange(nb, len(order))
         if not all(np.array_equal(perm[nb:], trailing) for perm in (lu.perm_r, lu.perm_c)):
             message = "the G3-last factorization moved G3 out of its trailing block"
@@ -212,7 +217,7 @@ def trace_constant(mesh: Mesh) -> float:
         scale = 1.0 / np.sqrt(ops.gamma3_weights[ops.gamma3])
         scaled = _trace_reduction(ops) * scale[:, None] * scale[None, :]
         eigenvalues = np.linalg.eigvalsh(scaled)
-        rounding = len(eigenvalues) * np.finfo(float).eps * eigenvalues[-1]
+        rounding = len(eigenvalues) * _EPS * eigenvalues[-1]
         return 1.0 / float(eigenvalues[0] - rounding)
 
     return ops.once("trace_constant", build)
@@ -355,7 +360,9 @@ def solve_hvi(
     carry off its branch stops on the kink bounding it, and the step is
     halved until the energy does not rise beyond rounding.  Sweeps and
     Newton steps count against ``max_iters``; a sweep that moves no node
-    ends the solve.  Existence holds for every ``alpha``, but without the
+    ends the solve, and so does a Newton gradient no larger than its own
+    rounding error (``n eps`` times the size of its terms), which no step
+    can lower.  Existence holds for every ``alpha``, but without the
     smallness condition the solution need not be unique; the solver returns
     one certified solution and reports failure honestly otherwise.
 
@@ -389,7 +396,8 @@ def solve_hvi(
     ends = np.concatenate(([-np.inf], kinks, [np.inf]))  # piece i spans ends[i]..ends[i+1]
 
     def branch(v):  # 2i inside the i-th smooth piece, 2i+1 on the i-th kink
-        return 2 * np.searchsorted(kinks, v) + np.isin(v, kinks)
+        left = np.searchsorted(kinks, v, side="left")
+        return 2 * left + (np.searchsorted(kinks, v, side="right") > left)
 
     def energy(v):  # and the size of its terms, which bounds its rounding error
         terms = np.array([0.5 * v @ (S @ v), -(f_red @ v), am @ p.value_array(v)])
@@ -400,9 +408,9 @@ def solve_hvi(
         lo, hi = p.subdiff_bounds(v)
         return float(np.max(np.maximum(np.maximum(lo - lam, lam - hi), 0.0), initial=0.0))
 
-    iterations = 0
+    iterations, stalled = 0, False
     keys = branch(u)
-    while inclusion(u) > 0.5 * opts.tol_inclusion and iterations < opts.max_iters:
+    while not stalled and inclusion(u) > 0.5 * opts.tol_inclusion and iterations < opts.max_iters:
         iterations += 1
         before = u.copy()
         for k in range(len(u)):
@@ -414,9 +422,14 @@ def solve_hvi(
         if not np.array_equal(previous, keys) or not free.any():
             continue
         while iterations < opts.max_iters:
-            grad = (S @ u - f_red)[free] + am[free] * p.subdiff_bounds(u[free])[0]
+            dj = p.subdiff_bounds(u[free])[0]
+            grad = (S @ u - f_red)[free] + am[free] * dj
             if np.max(np.abs(grad) / am[free]) <= 0.5 * opts.tol_inclusion:
                 break  # the free nodes are solved; only a sweep moves the pinned ones
+            terms = np.abs(S[free]) @ np.abs(u) + np.abs(f_red[free]) + am[free] * np.abs(dj)
+            if np.all(np.abs(grad) <= len(u) * _EPS * terms):
+                stalled = True  # the gradient is its own rounding error: no step lowers it
+                break
             iterations += 1
             S_FF = S[np.ix_(free, free)]
             curvature = np.array([p.slope(float(t)) for t in u[free]])

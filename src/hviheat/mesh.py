@@ -44,6 +44,9 @@ class BoundaryTag(Enum):
 
 
 _TAG_BY_NAME = {t.value: t for t in BoundaryTag}
+# The int8 code of each tag in ``Mesh``'s per-edge tag codes; -1 marks an
+# entry that is not a ``BoundaryTag``.
+_TAG_CODE = {t: code for code, t in enumerate(BoundaryTag)}
 
 
 class MeshFormatError(ValueError):
@@ -75,7 +78,9 @@ class Mesh:
         portions.  On such vertices the Dirichlet-dominant rule applies.
 
     The arrays are copied at construction and read-only, so everything
-    derived from a mesh stays valid for its lifetime.
+    derived from a mesh stays valid for its lifetime.  So are the int8 code
+    of each boundary edge's tag, which ``edges_with_tag`` compares, built at
+    construction, and the triangle areas, computed on first use.
     """
 
     vertices: np.ndarray
@@ -86,6 +91,8 @@ class Mesh:
     # the operator bundle of ``hviheat.assembly.mesh_operators``, built on
     # first use and freed with the mesh
     _operators: object = field(default=None, init=False, repr=False)
+    _tag_codes: np.ndarray = field(default=None, init=False, repr=False)
+    _areas: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in (("vertices", float), ("triangles", np.int64), ("boundary_edges", np.int64)):
@@ -93,6 +100,9 @@ class Mesh:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "boundary_tags", tuple(self.boundary_tags))
+        codes = np.array([_TAG_CODE.get(t, -1) for t in self.boundary_tags], dtype=np.int8)
+        codes.setflags(write=False)
+        object.__setattr__(self, "_tag_codes", codes)
         interface = tuple(int(v) for v in self.interface_vertices)
         object.__setattr__(self, "interface_vertices", interface)
 
@@ -113,16 +123,24 @@ class Mesh:
     # -- derived geometry -------------------------------------------------
 
     def triangle_areas(self) -> np.ndarray:
-        """Signed areas; positive for the stored counterclockwise orientation."""
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        """Signed areas; positive for the stored counterclockwise orientation.
+
+        Computed on the first call and kept, read-only.
+        """
+        if self._areas is None:
+            p = self.vertices[self.triangles]
+            d1 = p[:, 1] - p[:, 0]
+            d2 = p[:, 2] - p[:, 0]
+            areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            areas.setflags(write=False)
+            object.__setattr__(self, "_areas", areas)
+        return self._areas
 
     def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         """Boundary edges carrying ``tag`` as an (n, 2) index array."""
-        mask = [t == tag for t in self.boundary_tags]
-        return self.boundary_edges[np.asarray(mask, dtype=bool)]
+        if not isinstance(tag, BoundaryTag):  # no code: compare tag by tag
+            return self.boundary_edges[np.array([t == tag for t in self.boundary_tags], dtype=bool)]
+        return self.boundary_edges[self._tag_codes == _TAG_CODE[tag]]
 
     def edge_lengths(self, edges: np.ndarray) -> np.ndarray:
         d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
@@ -253,10 +271,11 @@ def validate_mesh(mesh: Mesh) -> list[str]:
     tri_edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     keys, counts = np.unique(_edge_keys(tri_edges, nv), return_counts=True)
     topo = keys[counts == 1]
-    for key in np.setdiff1d(topo, unique_declared):
-        report.append(f"topological boundary edge {_key_pair(key, nv)} carries no tag")
-    for key in np.setdiff1d(unique_declared, topo):
-        report.append(f"declared boundary edge {_key_pair(key, nv)} is not on the boundary")
+    if not np.array_equal(topo, unique_declared):  # both sorted: equal sets match exactly
+        for key in np.setdiff1d(topo, unique_declared):
+            report.append(f"topological boundary edge {_key_pair(key, nv)} carries no tag")
+        for key in np.setdiff1d(unique_declared, topo):
+            report.append(f"declared boundary edge {_key_pair(key, nv)} is not on the boundary")
 
     for tag in BoundaryTag:
         if tag not in mesh.boundary_tags:
@@ -267,7 +286,7 @@ def validate_mesh(mesh: Mesh) -> list[str]:
     g1 = mesh.vertices_incident_to(BoundaryTag.GAMMA1)
     shared = np.intersect1d(g1, mesh.vertices_incident_to(BoundaryTag.GAMMA3))
     allowed = np.asarray(mesh.interface_vertices, dtype=np.int64)
-    for v in np.setdiff1d(shared, allowed):
+    for v in np.setdiff1d(shared, allowed) if len(shared) else ():
         report.append(
             f"vertex {int(v)} carries both G1 and G3 tags but is not a declared interface vertex"
         )

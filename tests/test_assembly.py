@@ -209,6 +209,22 @@ GATE_MESHES = {
 }
 
 
+SYMMETRY_MESHES = {
+    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in range(1, 65)},
+    **{f"renumbered_{n}": (lambda n=n: _renumbered(n, n)) for n in (3, 8, 17, 40)},
+    **{f"jittered_{n}": (lambda n=n: _jittered(n, n)) for n in (5, 9, 23)},
+    **{f"g3_on_top_{n}": (lambda n=n: _g3_on_top(n)) for n in (2, 6, 20)},
+    **{f"g3_at_origin_{n}": (lambda n=n: _g3_at_origin(n)) for n in (3, 11)},
+}
+
+
+def test_stiffness_is_bitwise_symmetric():
+    # the factorizations hand SuperLU the CSR stiffness blocks as their transposes
+    for name, build in SYMMETRY_MESHES.items():
+        A = assemble_stiffness(build())
+        assert (A != A.T).nnz == 0, name
+
+
 class TestSmallnessGate:
     """``trace_constant`` and the ``continuous_dependence`` gate built on it."""
 

@@ -535,6 +535,32 @@ class TestMain:
         assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize(
+        "pid, setting, stop",
+        [
+            ("exp_quadratic", "solver.max_iters = 0", "budget"),  # the start is not certified
+            ("quadratic", "solver.tol_inclusion = 1e-300", "stalled"),  # below the rounding floor
+        ],
+    )
+    def test_uncertified_solve_names_its_stop_on_stderr(self, tmp_path, capsys, pid, setting, stop):
+        config = tmp_path / "solve.cfg"
+        config.write_text(
+            MINIMAL.replace("mesh.n = 8", "mesh.n = 8\nproblem.g = -1").replace("quadratic", pid)
+            + setting + "\n"
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+        assert sorted(path.name for path in out.iterdir()) == ["certificate.csv", "solution.csv"]
+        cert = dict(
+            line.split(",", 1) for line in (out / "certificate.csv").read_text().splitlines()[1:]
+        )
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == (
+            f"solve not certified: {stop} after {cert['iterations']} iterations, "
+            f"interior_residual_max {float(cert['interior_residual_max']):.3e}, "
+            f"gamma3_inclusion_max {float(cert['gamma3_inclusion_max']):.3e}"
+        )
+
     def test_config_parse_error_exit_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text(MINIMAL.replace("problem.alpha = 10", "problem.alpha = -3"))

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hviheat.assembly
 from hviheat.cli import _solution_csv, main
 from hviheat.mesh import (
     _CHUNK_ROWS,
@@ -513,3 +515,79 @@ def test_bulk_reader_matches_the_line_reader_on_corrupted_text(case, data):
             break
     text = "\n".join(lines) + "\n"
     assert _read(load_mesh, text) == _read(load_mesh_reference, text)
+
+
+class TestPerMeshCaches:
+    """Triangle areas and boundary-tag codes are computed once per mesh."""
+
+    def test_areas_are_computed_once_and_read_only(self):
+        m = generate_unit_square_mesh(4)
+        areas = m.triangle_areas()
+        assert not areas.flags.writeable
+        with pytest.raises(ValueError):
+            areas[0] = 1.0
+        # validation and both assemblies read the same array
+        assert validate_mesh(m) == []
+        hviheat.assembly.mesh_operators(m)
+        assert m.triangle_areas() is areas
+
+    def test_validation_of_non_finite_vertices_warns_nothing(self):
+        m = generate_unit_square_mesh(2)
+        vertices = m.vertices.copy()
+        vertices[4] = (np.inf, -np.inf)
+        bad = Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_mesh(bad)
+        assert report == validate_mesh_reference(bad)
+        assert "vertex 4 has non-finite coordinates" in report
+
+    @pytest.mark.parametrize("name", ["generated", "retagged", "unknown_entry"])
+    def test_edges_with_tag_matches_a_per_edge_scan(self, name):
+        m = generate_unit_square_mesh(5)
+        tags = list(m.boundary_tags)
+        if name == "retagged":
+            tags = [BoundaryTag.GAMMA3 if i % 3 == 0 else t for i, t in enumerate(tags)]
+        if name == "unknown_entry":
+            tags[2] = "G1"  # not a BoundaryTag: matches no tag but itself
+        mesh = Mesh(m.vertices, m.triangles, m.boundary_edges, tuple(tags))
+        for tag in (*BoundaryTag, "G1", None):
+            expected = m.boundary_edges[[i for i, t in enumerate(tags) if t == tag]]
+            got = mesh.edges_with_tag(tag)
+            assert got.shape == expected.shape and np.array_equal(got, expected)
+
+
+def _untagged_topological_edge() -> Mesh:
+    m = generate_unit_square_mesh(3)
+    return Mesh(m.vertices, m.triangles, m.boundary_edges[1:], m.boundary_tags[1:])
+
+
+def _declared_interior_edge() -> Mesh:
+    m = generate_unit_square_mesh(3)
+    edges = np.vstack([m.boundary_edges, [(5, 6)]])  # vertices 5 and 6 are interior
+    return Mesh(m.vertices, m.triangles, edges, m.boundary_tags + (BoundaryTag.GAMMA2,))
+
+
+def _undeclared_shared_vertex() -> Mesh:
+    m = generate_unit_square_mesh(3)
+    tags = (BoundaryTag.GAMMA3,) + m.boundary_tags[1:]  # edge 0-1 meets G1 at vertex 0
+    return Mesh(m.vertices, m.triangles, m.boundary_edges, tags)
+
+
+INVALID_MESHES = {
+    "untagged_topological_edge": (_untagged_topological_edge, "topological boundary edge (0, 1) carries no tag"),
+    "declared_interior_edge": (_declared_interior_edge, "declared boundary edge (5, 6) is not on the boundary"),
+    "undeclared_shared_vertex": (
+        _undeclared_shared_vertex,
+        "vertex 0 carries both G1 and G3 tags but is not a declared interface vertex",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_MESHES)
+def test_invalid_meshes_keep_every_message(name):
+    build, message = INVALID_MESHES[name]
+    mesh = build()
+    report = validate_mesh(mesh)
+    assert message in report
+    assert report == validate_mesh_reference(mesh)

@@ -197,6 +197,12 @@ TRACE_MESHES = {
 }
 
 
+FACTOR_MESHES = {
+    **TRACE_MESHES,
+    **{f"generated_{n}": (lambda n=n: generate_unit_square_mesh(n)) for n in (2, 17, 64)},
+}
+
+
 class TestTrace:
     def test_jittered_mesh_is_valid_and_not_an_m_matrix(self):
         m = _jittered_mesh()
@@ -233,6 +239,24 @@ class TestTrace:
         lu = hviheat.hvi_solver._bulk_factor(ops)
         colamd = spla.splu(sp.csc_matrix(ops.bulk_block))
         assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
+
+    @pytest.mark.parametrize("name", FACTOR_MESHES)
+    def test_factors_match_factoring_a_csc_copy(self, name):
+        # SuperLU reads each CSR block through its transpose instead of a CSC copy
+        ops = hviheat.assembly.mesh_operators(FACTOR_MESHES[name]())
+        order, lu = hviheat.hvi_solver._g3_last_factor(ops)
+        spd = hviheat.hvi_solver._SPD_SPLU
+        pairs = (
+            (hviheat.hvi_solver._bulk_factor(ops), ops.bulk_block, "MMD_AT_PLUS_A"),
+            (lu, ops.stiffness[order][:, order], "NATURAL"),
+        )
+        rng = np.random.default_rng(5)
+        for factor, block, permc_spec in pairs:
+            copied = spla.splu(sp.csc_matrix(block), permc_spec=permc_spec, **spd)
+            assert np.array_equal(factor.perm_c, copied.perm_c)
+            assert np.array_equal(factor.perm_r, copied.perm_r)
+            rhs = rng.standard_normal(block.shape[0])
+            assert np.array_equal(factor.solve(rhs), copied.solve(rhs))
 
     def test_g3_off_the_trailing_block_raises(self, monkeypatch):
         splu = hviheat.hvi_solver.spla.splu
@@ -303,6 +327,17 @@ class TestHvi:
         tight = SolverOptions(tol_interior=1e-300)
         rep = solve_robin(m, d, tight)
         assert (rep.converged, rep.stop(tight)) == (False, "stalled")
+
+    @pytest.mark.parametrize("n", [4, 16])
+    @pytest.mark.parametrize("pid", ["quadratic", "exp_quadratic", "min_quadratics"])
+    def test_newton_at_its_rounding_floor_stalls(self, pid, n):
+        # the Newton steps of smooth laws only churn rounding below that floor
+        m = generate_unit_square_mesh(n)
+        d = ProblemData.make(m, g=-1.0, q=0.5, b=1.0, alpha=1.0)
+        floor = SolverOptions(tol_inclusion=1e-300, max_iters=2000)
+        rep = solve_hvi(m, d, make_potential(pid, b=1.0), floor)
+        assert rep.stop(floor) == "stalled" and rep.iterations <= 10
+        assert rep.certificate.gamma3_inclusion_max <= 1e-13
 
     def test_anchor_mismatch_rejected(self):
         m = generate_unit_square_mesh(2)
