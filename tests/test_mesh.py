@@ -137,7 +137,9 @@ def test_validate_non_finite_vertex():
     vertices = m.vertices.copy()
     vertices[4] = (np.nan, 0.25)
     vertices[7, 1] = np.inf
-    report = validate_mesh(Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags))
+    with warnings.catch_warnings():  # the areas of those triangles are computed quietly
+        warnings.simplefilter("error")
+        report = validate_mesh(Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags))
     assert report[:2] == [
         "vertex 4 has non-finite coordinates",
         "vertex 7 has non-finite coordinates",
@@ -530,17 +532,6 @@ class TestPerMeshCaches:
         assert validate_mesh(m) == []
         hviheat.assembly.mesh_operators(m)
         assert m.triangle_areas() is areas
-
-    def test_validation_of_non_finite_vertices_warns_nothing(self):
-        m = generate_unit_square_mesh(2)
-        vertices = m.vertices.copy()
-        vertices[4] = (np.inf, -np.inf)
-        bad = Mesh(vertices, m.triangles, m.boundary_edges, m.boundary_tags)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = validate_mesh(bad)
-        assert report == validate_mesh_reference(bad)
-        assert "vertex 4 has non-finite coordinates" in report
 
     @pytest.mark.parametrize("name", ["generated", "retagged", "unknown_entry"])
     def test_edges_with_tag_matches_a_per_edge_scan(self, name):
