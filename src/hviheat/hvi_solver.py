@@ -137,10 +137,6 @@ class SolveReport:
 _EPS = np.finfo(float).eps
 
 # Both factors are of SPD matrices: diagonal pivots, symmetric structure.
-# Each is handed its CSR block's transpose, a CSC matrix on the same arrays
-# that equals the block, so SuperLU reads it without a CSC copy: the P1
-# stiffness is bitwise symmetric, since an entry and its mirror sum the same
-# triangle terms, each a symmetric product.
 _SPD_SPLU = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
 
@@ -150,7 +146,10 @@ def _bulk_factor(ops: MeshOperators) -> spla.SuperLU:
     ``A_bb`` is SPD on a valid mesh: ``validate_mesh`` requires a G1 edge in
     every connected component, so each bulk vertex is joined to G1 or G3.
     It is factored in a minimum-degree order of ``A + A^T`` with diagonal
-    pivots, which elimination keeps positive.
+    pivots, which elimination keeps positive.  SuperLU is handed the CSR
+    block's transpose, a CSC matrix on the same arrays, instead of a CSC
+    copy: the P1 stiffness is bitwise symmetric, since an entry and its
+    mirror sum the same triangle terms, each a symmetric product.
     """
     return ops.once(
         "bulk_factor",
@@ -171,7 +170,8 @@ def _g3_last_factor(ops: MeshOperators) -> tuple[np.ndarray, spla.SuperLU]:
     def build():
         nb = len(ops.bulk)
         order = np.concatenate([ops.bulk[np.argsort(_bulk_factor(ops).perm_c)], ops.gamma3])
-        lu = spla.splu(ops.stiffness[order][:, order].T, permc_spec="NATURAL", **_SPD_SPLU)
+        K = sp.csc_matrix(ops.stiffness[order][:, order])
+        lu = spla.splu(K, permc_spec="NATURAL", **_SPD_SPLU)
         trailing = np.arange(nb, len(order))
         if not all(np.array_equal(perm[nb:], trailing) for perm in (lu.perm_r, lu.perm_c)):
             message = "the G3-last factorization moved G3 out of its trailing block"

@@ -44,8 +44,9 @@ class BoundaryTag(Enum):
 
 
 _TAG_BY_NAME = {t.value: t for t in BoundaryTag}
-# The int8 code of each tag in ``Mesh``'s per-edge tag codes; -1 marks an
-# entry that is not a ``BoundaryTag``.
+# The int8 code of each tag in ``Mesh``'s per-edge tag codes; an entry that
+# is not a ``BoundaryTag`` gets -1, and a query that is not one -2, so it
+# matches no edge.
 _TAG_CODE = {t: code for code, t in enumerate(BoundaryTag)}
 
 
@@ -138,9 +139,7 @@ class Mesh:
 
     def edges_with_tag(self, tag: BoundaryTag) -> np.ndarray:
         """Boundary edges carrying ``tag`` as an (n, 2) index array."""
-        if not isinstance(tag, BoundaryTag):  # no code: compare tag by tag
-            return self.boundary_edges[np.array([t == tag for t in self.boundary_tags], dtype=bool)]
-        return self.boundary_edges[self._tag_codes == _TAG_CODE[tag]]
+        return self.boundary_edges[self._tag_codes == _TAG_CODE.get(tag, -2)]
 
     def edge_lengths(self, edges: np.ndarray) -> np.ndarray:
         d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
@@ -286,7 +285,7 @@ def validate_mesh(mesh: Mesh) -> list[str]:
     g1 = mesh.vertices_incident_to(BoundaryTag.GAMMA1)
     shared = np.intersect1d(g1, mesh.vertices_incident_to(BoundaryTag.GAMMA3))
     allowed = np.asarray(mesh.interface_vertices, dtype=np.int64)
-    for v in np.setdiff1d(shared, allowed) if len(shared) else ():
+    for v in np.setdiff1d(shared, allowed):
         report.append(
             f"vertex {int(v)} carries both G1 and G3 tags but is not a declared interface vertex"
         )

@@ -219,7 +219,7 @@ SYMMETRY_MESHES = {
 
 
 def test_stiffness_is_bitwise_symmetric():
-    # the factorizations hand SuperLU the CSR stiffness blocks as their transposes
+    # the bulk factorization hands SuperLU the CSR bulk block as its transpose
     for name, build in SYMMETRY_MESHES.items():
         A = assemble_stiffness(build())
         assert (A != A.T).nnz == 0, name

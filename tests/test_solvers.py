@@ -241,22 +241,16 @@ class TestTrace:
         assert lu.L.nnz + lu.U.nnz <= 0.75 * (colamd.L.nnz + colamd.U.nnz)
 
     @pytest.mark.parametrize("name", FACTOR_MESHES)
-    def test_factors_match_factoring_a_csc_copy(self, name):
-        # SuperLU reads each CSR block through its transpose instead of a CSC copy
+    def test_bulk_factor_matches_factoring_a_csc_copy(self, name):
+        # SuperLU reads the CSR bulk block through its transpose instead of a CSC copy
         ops = hviheat.assembly.mesh_operators(FACTOR_MESHES[name]())
-        order, lu = hviheat.hvi_solver._g3_last_factor(ops)
+        lu = hviheat.hvi_solver._bulk_factor(ops)
         spd = hviheat.hvi_solver._SPD_SPLU
-        pairs = (
-            (hviheat.hvi_solver._bulk_factor(ops), ops.bulk_block, "MMD_AT_PLUS_A"),
-            (lu, ops.stiffness[order][:, order], "NATURAL"),
-        )
-        rng = np.random.default_rng(5)
-        for factor, block, permc_spec in pairs:
-            copied = spla.splu(sp.csc_matrix(block), permc_spec=permc_spec, **spd)
-            assert np.array_equal(factor.perm_c, copied.perm_c)
-            assert np.array_equal(factor.perm_r, copied.perm_r)
-            rhs = rng.standard_normal(block.shape[0])
-            assert np.array_equal(factor.solve(rhs), copied.solve(rhs))
+        copied = spla.splu(sp.csc_matrix(ops.bulk_block), permc_spec="MMD_AT_PLUS_A", **spd)
+        assert np.array_equal(lu.perm_c, copied.perm_c)
+        assert np.array_equal(lu.perm_r, copied.perm_r)
+        rhs = np.random.default_rng(5).standard_normal(ops.bulk_block.shape[0])
+        assert np.array_equal(lu.solve(rhs), copied.solve(rhs))
 
     def test_g3_off_the_trailing_block_raises(self, monkeypatch):
         splu = hviheat.hvi_solver.spla.splu
