@@ -31,7 +31,6 @@ from .potentials import (
     check_scaled_sign_condition,
     check_sign_condition,
     check_strict_condition,
-    estimate_relaxed_monotonicity,
     make_potential,
     potential_ids,
 )

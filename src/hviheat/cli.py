@@ -39,7 +39,6 @@ from .potentials import (
     check_sign_condition,
     check_strict_condition,
     default_grid,
-    estimate_relaxed_monotonicity,
     make_potential,
     potential_ids,
 )
@@ -530,7 +529,7 @@ def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None
     """Tabulate a potential and the verdicts of its hypothesis checks.
 
     The table straddles every breakpoint; the verdict block reports the
-    growth bound, the anchor sign condition and its strict form, the sampled
+    growth bound, the anchor sign condition and its strict form, the
     relaxed-monotonicity constant, and the scaled pairwise sign condition.
     """
     p = make_potential(pid, b=b, **(params or {}))
@@ -576,9 +575,7 @@ def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None
         f"strict sign condition (zero only at r = b): {'pass' if strict.passed else 'fail'} "
         f"(worst off-anchor value {strict.worst_margin:.3e})"
     )
-    m_j = estimate_relaxed_monotonicity(p)
-    declared = "" if p.m_j is None else f" (declared {p.m_j:g})"
-    lines.append(f"relaxed monotonicity constant estimate: {m_j:.9g}{declared}")
+    lines.append(f"relaxed monotonicity constant: {p.m_j:.9g}")
     scaled = check_scaled_sign_condition(p)
     lines.append(
         f"scaled sign condition (coefficient monotonicity gate): "

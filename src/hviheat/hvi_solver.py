@@ -432,7 +432,7 @@ def solve_hvi(
                 break
             iterations += 1
             S_FF = S[np.ix_(free, free)]
-            curvature = np.array([p.slope(float(t)) for t in u[free]])
+            curvature = p.slope(u[free])
             jacobian = S_FF + np.diag(am[free] * curvature)
             try:
                 np.linalg.cholesky(jacobian)

@@ -41,7 +41,6 @@ offset) is used to cover the piecewise structure.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -68,7 +67,6 @@ __all__ = [
     "check_growth",
     "check_sign_condition",
     "check_strict_condition",
-    "estimate_relaxed_monotonicity",
     "check_scaled_sign_condition",
 ]
 
@@ -114,17 +112,13 @@ class Potential:
     between the left-hand and right-hand piece derivatives, a single point
     off the kinks.  ``slope`` is the curvature of the piece holding ``r``
     and 0 on a kink; the solver's Newton step uses it and it never affects
-    the subdifferential.  ``prox`` is a closed form in each class.
-
-    A potential used only by the hypothesis checks may instead override
-    ``value_array`` and ``subdiff_bounds`` directly.
+    the subdifferential.  ``m_j`` and ``convex`` follow from the table too.
+    ``prox`` is a closed form in each class.
     """
 
     id: str = "custom"
-    convex: bool = False
     c0: float | None = None  # growth bound |dj(r)| <= c0 + c1 |r|
     c1: float | None = None
-    m_j: float | None = None  # relaxed-monotonicity constant, when known
 
     def __init__(self, b: float = 0.0):
         self.b = float(b)
@@ -170,21 +164,43 @@ class Potential:
         """The kinks where the left-hand derivative exceeds the right-hand one.
 
         There the subgradient jumps down, so no relaxed-monotonicity
-        constant is finite.  A potential without a piece table has none.
+        constant is finite.
         """
-        if type(self)._piece is Potential._piece:
-            return ()
         kinks = self.breakpoints()
         return tuple(
             r for i, r in enumerate(kinks) if self._piece(i, r)[1] > self._piece(i + 1, r)[1]
         )
 
-    def slope(self, r: float) -> float:
-        kinks = self.breakpoints()
-        i = bisect.bisect_left(kinks, r)
-        if i < len(kinks) and kinks[i] == r:
-            return 0.0
-        return float(self._piece(i, r)[2])
+    @property
+    def m_j(self) -> float:
+        """Relaxed-monotonicity constant: the least ``m >= 0`` making ``j + m r^2/2`` convex.
+
+        For a piecewise-C2 ``j`` that sum is convex exactly when no kink is
+        concave and no piece curves below ``-m``.  So the constant is ``inf``
+        with a concave kink, and otherwise the largest negative curvature on
+        ``default_grid``, each kink taken on both of its pieces.  The sample
+        is exact when each piece's curvature is constant or extreme at the
+        piece's ends, as for every built-in.
+        """
+        if self.concave_kinks():
+            return math.inf
+        kinks = np.array(self.breakpoints())
+        grid = default_grid(self)
+        r = np.concatenate([grid, kinks])
+        piece = np.concatenate([kinks.searchsorted(grid, side="right"), np.arange(len(kinks))])
+        return max(0.0, -float(self._on_pieces(piece, r, 2).min()))
+
+    @property
+    def convex(self) -> bool:
+        return self.m_j == 0.0
+
+    def slope(self, r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=float)
+        kinks = np.array(self.breakpoints())
+        left, right = kinks.searchsorted(r, side="left"), kinks.searchsorted(r, side="right")
+        out = self._on_pieces(right, r, 2)
+        out[left != right] = 0.0
+        return out
 
     def value(self, r: float) -> float:
         return float(self.value_array(np.asarray([r], dtype=float))[0])
@@ -229,8 +245,6 @@ class ExpQuadraticPotential(Potential):
     """
 
     id = "exp_quadratic"
-    convex = False
-    m_j = 1.0
 
     def __init__(self, b: float = 0.0):
         super().__init__(b)
@@ -292,8 +306,6 @@ class MinQuadraticsPotential(Potential):
         if self.k1 != self.k2:
             rho2 = 2.0 * (self.off2 - self.off1) / (self.k1 - self.k2)
             self._rho = float(np.sqrt(rho2)) if rho2 > 0.0 else None
-        self.convex = self._rho is None  # one branch wins everywhere
-        self.m_j = 0.0 if self.convex else None
 
     def params(self) -> dict[str, float]:
         return {"k1": self.k1, "c1": self.off1, "k2": self.k2, "c2": self.off2}
@@ -322,8 +334,6 @@ class QuadraticPotential(Potential):
     """``(r-b)^2 / 2``: the smooth law of the linear Robin condition."""
 
     id = "quadratic"
-    convex = True
-    m_j = 0.0
 
     def __init__(self, b: float = 0.0):
         super().__init__(b)
@@ -347,8 +357,6 @@ class TruncatedQuadraticPotential(Potential):
     """
 
     id = "truncated_quadratic"
-    convex = True
-    m_j = 0.0
 
     def __init__(self, b: float = 0.0, m1: float = -2.0, m2: float = 3.0, r0: float = 1.0):
         super().__init__(b)
@@ -388,8 +396,6 @@ class AbsPotential(Potential):
     """``|r - b|``: convex kink at the anchor with subdifferential [-1, 1]."""
 
     id = "abs"
-    convex = True
-    m_j = 0.0
     c0 = 1.0
     c1 = 0.0
 
@@ -430,8 +436,6 @@ class QuinticRampPotential(Potential):
     """
 
     id = "quintic_ramp"
-    convex = True
-    m_j = 0.0
     power = 5.0
 
     def __init__(self, b: float = 0.0, beta: float = 1.0, c: float = 0.0):
@@ -545,22 +549,20 @@ class GrowthReport:
     details: str = ""
 
 
-def default_grid(
-    p: Potential, span: float = 10.0, num: int = 2001, kink_offset: float = 1e-9
-) -> np.ndarray:
-    """Uniform grid around the anchor, plus breakpoints and shifted copies."""
-    base = np.linspace(p.b - span, p.b + span, num)
+def default_grid(p: Potential) -> np.ndarray:
+    """2001 points on ``b -+ 10``, plus each breakpoint and its copies ``1e-9`` either side."""
+    base = np.linspace(p.b - 10.0, p.b + 10.0, 2001)
     extra = []
     for bp in p.breakpoints():
-        extra.extend((bp, bp - kink_offset, bp + kink_offset))
+        extra.extend((bp, bp - 1e-9, bp + 1e-9))
     if extra:
         base = np.concatenate([base, np.asarray(extra)])
     return np.unique(base)
 
 
-def pair_grid(p: Potential, span: float = 10.0, num: int = 321) -> np.ndarray:
-    """Coarser grid for quadratic-cost pair scans, breakpoints included."""
-    base = np.linspace(p.b - span, p.b + span, num)
+def pair_grid(p: Potential) -> np.ndarray:
+    """321 points on ``b -+ 10`` for quadratic-cost pair scans, breakpoints included."""
+    base = np.linspace(p.b - 10.0, p.b + 10.0, 321)
     extra = []
     for bp in p.breakpoints():
         for off in (0.0, -1e-9, 1e-9, -1e-4, 1e-4, -1e-2, 1e-2):
@@ -662,38 +664,6 @@ def check_strict_condition(p: Potential, grid: np.ndarray | None = None) -> Chec
         worst_margin=float(vals[worst]),
         worst_point=(float(pts[worst]),),
     )
-
-
-def _pairwise_symmetric_sum(p: Potential, grid: np.ndarray) -> np.ndarray:
-    """Matrix of j0(r_i; r_j - r_i) + j0(r_j; r_i - r_j)."""
-    lo, hi = p.subdiff_bounds(grid)
-    d = grid[None, :] - grid[:, None]  # d[i, j] = r_j - r_i
-    fwd = np.maximum(lo[:, None] * d, hi[:, None] * d)
-    bwd = np.maximum(lo[None, :] * (-d), hi[None, :] * (-d))
-    return fwd + bwd
-
-
-def estimate_relaxed_monotonicity(p: Potential, grid: np.ndarray | None = None) -> float:
-    """Smallest sampled constant in the relaxed monotonicity condition.
-
-    A potential with a concave kink has none: it returns ``+inf``.  Otherwise
-    it returns the supremum over distinct grid pairs of
-
-        (j0(r; s-r) + j0(s; r-s)) / |r-s|^2,
-
-    clamped below at zero.  Convex potentials give zero; pairs with ``r = s``
-    are excluded by construction.
-    """
-    if p.concave_kinks():
-        return math.inf
-    if grid is None:
-        grid = pair_grid(p)
-    total = _pairwise_symmetric_sum(p, grid)
-    d = grid[None, :] - grid[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = total / d**2
-    ratio[d == 0.0] = -np.inf
-    return max(0.0, float(ratio.max()))
 
 
 def check_scaled_sign_condition(

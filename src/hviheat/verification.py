@@ -36,7 +36,6 @@ from .potentials import (
     check_scaled_sign_condition,
     check_sign_condition,
     check_strict_condition,
-    estimate_relaxed_monotonicity,
 )
 
 __all__ = [
@@ -53,6 +52,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "case_id,n,alpha,potential,err_V,margin_min,certificate_max,verdict"
+
+# a nodal claim u <= v passes down to a margin of -_SLACK
+_SLACK = 1e-9
 
 
 class PreconditionError(ValueError):
@@ -230,14 +232,15 @@ def _uncertified(label: str, rep: SolveReport, detail: str) -> ClaimResult:
     return ClaimResult(f"certified[{label}]", "fail", -_cert_max(rep), detail)
 
 
-def _nonincreasing(
-    errors: Sequence[float], slack: float, scope: bool = False
-) -> list[ClaimResult]:
-    """The ``error_nonincreasing`` claim, or none with fewer than two errors."""
+def _nonincreasing(errors: Sequence[float], scope: bool = False) -> list[ClaimResult]:
+    """The ``error_nonincreasing`` claim, or none with fewer than two errors.
+
+    An error may rise by at most 1e-10 from one case to the next.
+    """
     if len(errors) < 2:
         return []
     margin = min(errors[k] - errors[k + 1] for k in range(len(errors) - 1))
-    return [_claim("error_nonincreasing", margin, slack, scope=scope)]
+    return [_claim("error_nonincreasing", margin, 1e-10, scope=scope)]
 
 
 def _window(
@@ -257,13 +260,12 @@ def verify_linear_theorem(
     data: ProblemData,
     alphas: Sequence[float] = (1.0, 10.0, 100.0, 1000.0, 10000.0),
     rel_target: float = 1e-3,
-    slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ExperimentReport:
     """Comparison, coefficient monotonicity, and convergence of the linear law.
 
     Requires the sign conditions ``g <= 0``, ``q >= 0`` and a constant datum
-    ``b > 0``.  Checks nodally, with the given slack: the limit solution and
+    ``b > 0``.  Checks nodally, with a slack of 1e-9: the limit solution and
     every exchange solution stay below the datum, the exchange solutions stay
     below the limit solution and increase with the coefficient, and the error
     to the limit decreases along the sweep, ending below ``rel_target``
@@ -281,7 +283,7 @@ def verify_linear_theorem(
     n = _infer_n(mesh)
 
     u_inf = solve_dirichlet(mesh, data, opts).solution.values
-    claims = [_claim("dirichlet_below_datum", float(np.min(b - u_inf)), slack)]
+    claims = [_claim("dirichlet_below_datum", float(np.min(b - u_inf)), _SLACK)]
 
     rows: list[CaseRow] = []
     errors: list[float] = []
@@ -290,18 +292,18 @@ def verify_linear_theorem(
         u = rep.solution.values
         errors.append(_v_norm(mesh, u - u_inf))
         margins = [float(np.min(b - u)), float(np.min(u_inf - u))]
-        claims.append(_claim(f"robin_below_datum[alpha={alpha:g}]", margins[0], slack))
-        claims.append(_claim(f"robin_below_dirichlet[alpha={alpha:g}]", margins[1], slack))
+        claims.append(_claim(f"robin_below_datum[alpha={alpha:g}]", margins[0], _SLACK))
+        claims.append(_claim(f"robin_below_dirichlet[alpha={alpha:g}]", margins[1], _SLACK))
         if prev_u is not None:
             mono = float(np.min(u - prev_u))
             margins.append(mono)
-            claims.append(_claim(f"monotone_in_alpha[alpha={alpha:g}]", mono, slack))
+            claims.append(_claim(f"monotone_in_alpha[alpha={alpha:g}]", mono, _SLACK))
         prev_u = u
         margin = min(margins)
-        verdict = "pass" if rep.converged and margin >= -slack else "fail"
+        verdict = "pass" if rep.converged and margin >= -_SLACK else "fail"
         rows.append(_row(f"alpha_{alpha:g}", n, alpha, None, rep, errors[-1], margin, verdict))
 
-    claims += _nonincreasing(errors, 1e-10)
+    claims += _nonincreasing(errors)
     norm_inf = _v_norm(mesh, u_inf)
     claims.append(
         _claim(
@@ -325,7 +327,6 @@ def verify_comparison(
     data: ProblemData,
     p: Potential,
     alphas: Sequence[float] = (1.0, 10.0, 100.0),
-    slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ExperimentReport:
     """Certified multivalued solutions stay below the datum and the limit.
@@ -358,10 +359,10 @@ def verify_comparison(
         u = rep.solution.values
         m1 = float(np.min(b_vec - u))
         m2 = float(np.min(u_inf - u))
-        claims.append(_claim(f"below_datum[alpha={alpha:g}]", m1, slack))
-        claims.append(_claim(f"below_dirichlet[alpha={alpha:g}]", m2, slack))
+        claims.append(_claim(f"below_datum[alpha={alpha:g}]", m1, _SLACK))
+        claims.append(_claim(f"below_dirichlet[alpha={alpha:g}]", m2, _SLACK))
         margin = min(m1, m2)
-        verdict = "pass" if margin >= -slack else "fail"
+        verdict = "pass" if margin >= -_SLACK else "fail"
         rows.append(_row(f"alpha_{alpha:g}", n, alpha, p, rep, margin_min=margin, verdict=verdict))
 
     return ExperimentReport(
@@ -384,7 +385,6 @@ def verify_monotonicity(
     p: Potential,
     alpha_pairs: Sequence[tuple[float, float]] = ((1.0, 10.0), (10.0, 100.0)),
     override: bool = False,
-    slack: float = 1e-9,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ExperimentReport:
     """Solutions ordered by the exchange coefficient, gated by the scaled sign condition.
@@ -423,7 +423,7 @@ def verify_monotonicity(
             margin = float("nan")
         else:
             margin = float(np.min(r2.solution.values - r1.solution.values))
-            claims.append(_claim(f"ordered[{a1:g}<={a2:g}]", margin, slack, scope=scope))
+            claims.append(_claim(f"ordered[{a1:g}<={a2:g}]", margin, _SLACK, scope=scope))
         verdict = claims[-1].verdict
         rows.append(_row(f"pair_{a1:g}_{a2:g}", n, a2, p, worst, margin_min=margin, verdict=verdict))
 
@@ -461,7 +461,6 @@ def verify_alpha_convergence(
     alphas: Sequence[float] = (1.0, 10.0, 100.0, 1000.0),
     final_rel_target: float = 1e-2,
     rate_window: tuple[float, float] | None = None,
-    slack: float = 1e-10,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ExperimentReport:
     """Convergence of the multivalued solutions to the limit problem.
@@ -511,7 +510,7 @@ def verify_alpha_convergence(
         rows.append(_row(f"alpha_{alpha:g}", n, alpha, p, rep, err_v=errors[-1]))
 
     if len(alphas) > 1:
-        claims += _nonincreasing(errors, slack)
+        claims += _nonincreasing(errors)
         claims.append(
             _claim(
                 "final_error_below_target",
@@ -568,7 +567,6 @@ def verify_continuous_dependence(
     perturbed: Sequence[ProblemData],
     ratio_target: float | None = None,
     ratio_tol: float = 0.25,
-    slack: float = 1e-10,
     opts: SolverOptions = DEFAULT_OPTIONS,
 ) -> ExperimentReport:
     """Stability of the solution under perturbations of energy and flux.
@@ -589,7 +587,7 @@ def verify_continuous_dependence(
     """
     if any(pdata.alpha != data.alpha for pdata in perturbed):
         raise PreconditionError("perturbed data must keep the same exchange coefficient")
-    m_j = p.m_j if p.m_j is not None else estimate_relaxed_monotonicity(p)
+    m_j = p.m_j
     base = solve_hvi(mesh, data, p, opts)
     u = base.solution.values
     # after the solve, which built the Schur complement that it reuses
@@ -623,7 +621,7 @@ def verify_continuous_dependence(
             detail=f"gamma_W^2={gamma_sq:.6g}, m_j={m_j:.6g}{kink}",
         )
     )
-    claims += _nonincreasing(errors, slack, scope=scope)
+    claims += _nonincreasing(errors, scope=scope)
     if deltas and deltas[0] > 0.0 and errors[0] > 0.0:
         c_hat = errors[0] / deltas[0]
         worst = min(

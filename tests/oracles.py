@@ -22,6 +22,8 @@ Schur complement of its sparse factor.
 
 The superpotential tables are closed forms for the built-in laws, and
 ``prox_reference`` minimizes the scalar proximal energy by brute force.
+``relaxed_monotonicity_reference`` samples the relaxed-monotonicity constant
+over pairs of grid points; the library derives it from the piece table.
 
 Each function returns ``(lo, hi, j0_toward_anchor)`` for a scalar ``r``: the
 subdifferential interval endpoints and the generalized directional
@@ -49,6 +51,7 @@ from hviheat.assembly import (
     assemble_stiffness,
 )
 from hviheat.mesh import BoundaryTag, Mesh, MeshFormatError
+from hviheat.potentials import pair_grid
 
 
 def _triangulation_boundary(mesh) -> set[tuple[int, int]]:
@@ -432,3 +435,20 @@ def prox_reference(p, z: float, tau: float, num: int = 100_001) -> tuple[float, 
     energy = 0.5 * (t - z) ** 2 + tau * p.value_array(t)
     k = int(np.argmin(energy))
     return float(t[k]), float(energy[k])
+
+
+def relaxed_monotonicity_reference(p) -> float:
+    """Largest ``(j0(r; s-r) + j0(s; r-s)) / |r-s|^2`` over pairs of ``pair_grid``, at least 0.
+
+    A convex law gives 0.  At a concave kink the pairs that straddle it give
+    ratios that grow like the inverse of their distance.
+    """
+    grid = pair_grid(p)
+    lo, hi = p.subdiff_bounds(grid)
+    d = grid[None, :] - grid[:, None]  # d[i, j] = r_j - r_i
+    fwd = np.maximum(lo[:, None] * d, hi[:, None] * d)
+    bwd = np.maximum(lo[None, :] * (-d), hi[None, :] * (-d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (fwd + bwd) / d**2
+    ratio[d == 0.0] = -np.inf
+    return max(0.0, float(ratio.max()))

@@ -26,7 +26,6 @@ from hviheat.potentials import (
     QuadraticPotential,
     TruncatedQuadraticPotential,
     default_grid,
-    estimate_relaxed_monotonicity,
     make_potential,
 )
 from hviheat.verification import (
@@ -113,7 +112,7 @@ def test_criterion_4_comparison_bounds():
     mesh = generate_unit_square_mesh(16)
     data = ProblemData.make(mesh, g=-1.0, q=0.5, b=1.0, alpha=1.0)
     rep = verify_comparison(
-        mesh, data, ExpQuadraticPotential(b=1.0), alphas=(1.0, 10.0, 100.0), slack=1e-9
+        mesh, data, ExpQuadraticPotential(b=1.0), alphas=(1.0, 10.0, 100.0)
     )
     margins = [c.margin for c in rep.claims]
     ok = rep.passed and all(m >= -1e-9 for m in margins)
@@ -179,17 +178,16 @@ def test_criterion_7_potential_conformance():
             iv = p.subdiff(float(r))
             if iv.lo != lo or iv.hi != hi or p.j0(float(r), b - float(r)) != j0:
                 mismatches += 1
-    mj_rough = estimate_relaxed_monotonicity(ExpQuadraticPotential(b=b))
+    mj_rough = ExpQuadraticPotential(b=b).m_j
     mj_convex = max(
-        estimate_relaxed_monotonicity(make_potential(pid, b=b))
-        for pid in ("quadratic", "truncated_quadratic", "abs")
+        make_potential(pid, b=b).m_j for pid in ("quadratic", "truncated_quadratic", "abs")
     )
-    ok = mismatches == 0 and 0.5 < mj_rough <= 1.0 + 1e-6 and mj_convex <= 1e-12
+    ok = mismatches == 0 and mj_rough == 1.0 and mj_convex == 0.0
     report(
         7,
         ok,
         f"closed-form tables match exactly ({mismatches} mismatches); "
-        f"relaxed-monotonicity estimates {mj_rough:.9f} / convex {mj_convex:.1e}",
+        f"relaxed-monotonicity constants {mj_rough:g} / convex {mj_convex:g}",
     )
 
 

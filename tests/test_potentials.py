@@ -20,7 +20,6 @@ from hviheat.potentials import (
     check_sign_condition,
     check_strict_condition,
     default_grid,
-    estimate_relaxed_monotonicity,
     make_potential,
     potential_ids,
 )
@@ -32,6 +31,7 @@ from oracles import (
     prox_reference,
     quadratic_table,
     ramp_table,
+    relaxed_monotonicity_reference,
     tresca_table,
     truncated_quadratic_table,
 )
@@ -49,17 +49,11 @@ class FlatPotential(Potential):
     """j identically zero: fails the strict sign condition everywhere."""
 
     id = "flat"
-    convex = True
     c0 = 0.0
     c1 = 0.0
-    m_j = 0.0
 
-    def value_array(self, r):
-        return np.zeros_like(r)
-
-    def subdiff_bounds(self, r):
-        z = np.zeros_like(r)
-        return z, z.copy()
+    def _piece(self, i, r):
+        return 0.0, 0.0, 0.0
 
 
 class ConcaveQuadratic(Potential):
@@ -67,12 +61,32 @@ class ConcaveQuadratic(Potential):
 
     id = "concave_quadratic"
 
-    def value_array(self, r):
-        return -0.5 * (r - self.b) ** 2
+    def _piece(self, i, r):
+        d = r - self.b
+        return -0.5 * d**2, -d, -1.0
 
-    def subdiff_bounds(self, r):
-        d = self.b - r
-        return d, d.copy()
+
+class SoftenedAbs(Potential):
+    """j = |r-b| - k (r-b)^2 / 2: a convex kink between pieces of curvature -k.
+
+    It states only its piece table and prox, so ``m_j`` and ``convex`` come
+    from the base class.
+    """
+
+    def __init__(self, b=0.0, k=0.0):
+        super().__init__(b)
+        self.k = k
+
+    def breakpoints(self):
+        return (self.b,)
+
+    def _piece(self, i, r):
+        d, sign = r - self.b, (1.0 if i else -1.0)
+        return sign * d - 0.5 * self.k * d**2, sign - self.k * d, -self.k
+
+    def prox(self, z, tau):  # the energy is convex for tau k < 1
+        w = z - self.b
+        return self.b + np.sign(w) * max(abs(w) - tau, 0.0) / (1.0 - tau * self.k)
 
 
 # -- value / subdiff / j0 spot values ----------------------------------------
@@ -200,7 +214,7 @@ def test_min_quadratics_hull_at_inexact_crossings():
     for bp in p.breakpoints():
         d = bp - p.b
         assert p.subdiff(bp) == Interval(min(p.k1 * d, p.k2 * d), max(p.k1 * d, p.k2 * d))
-        assert p.slope(bp) == 0.0
+    assert np.array_equal(p.slope(p.breakpoints()), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("pid", ALL_IDS)
@@ -208,13 +222,11 @@ def test_slope_is_the_curvature_off_the_kinks_and_zero_on_them(pid):
     p = make_potential(pid, b=0.4)
     h = 1e-3
     kinks = np.asarray(p.breakpoints())
-    for r in np.linspace(-2.5, 2.5, 41):
-        if np.any(np.abs(kinks - r) <= 2.0 * h):
-            continue
-        second = (p.value(r + h) - 2.0 * p.value(r) + p.value(r - h)) / h**2
-        assert p.slope(float(r)) == pytest.approx(second, rel=1e-5, abs=1e-5), r
-    for bp in p.breakpoints():
-        assert p.slope(bp) == 0.0
+    r = np.linspace(-2.5, 2.5, 41)
+    r = r[np.all(np.abs(kinks[:, None] - r) > 2.0 * h, axis=0)]
+    second = (p.value_array(r + h) - 2.0 * p.value_array(r) + p.value_array(r - h)) / h**2
+    assert p.slope(r) == pytest.approx(second, rel=1e-5, abs=1e-5)
+    assert np.array_equal(p.slope(kinks), np.zeros(len(kinks)))
 
 
 def test_truncated_quadratic_rejects_bad_slopes():
@@ -340,18 +352,39 @@ def test_strict_condition():
     assert not check_strict_condition(FlatPotential(b=1.0)).passed
 
 
-def test_relaxed_monotonicity_quadratic_zero():
-    assert estimate_relaxed_monotonicity(QuadraticPotential(b=1.0)) <= 1e-12
+@pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
+@pytest.mark.parametrize("pid", ALL_IDS)
+def test_builtins_derive_their_relaxed_monotonicity_constant_and_convexity(pid, b):
+    # the exp branch curves by -exp(-(r-b)), down to -1 at the anchor; the
+    # parabolas of min_quadratics cross at concave kinks; the rest are convex,
+    # as the README's table says
+    p = make_potential(pid, b=b)
+    assert p.m_j == {"exp_quadratic": 1.0, "min_quadratics": np.inf}.get(pid, 0.0)
+    assert p.convex == (pid in CONVEX_IDS)
 
 
-def test_relaxed_monotonicity_exp_quadratic_near_one():
-    estimate = estimate_relaxed_monotonicity(ExpQuadraticPotential(b=1.0))
-    assert 0.5 < estimate <= 1.0 + 1e-6
+# every built-in at its defaults, and parameters that move its pieces
+PARAMETER_VARIANTS = [(pid, {}) for pid in ALL_IDS] + [
+    ("min_quadratics", {"k1": 2.0, "k2": 2.0}),
+    ("min_quadratics", {"c2": 1.0}),
+    ("min_quadratics", {"c2": -0.5}),
+    ("truncated_quadratic", {"m1": -1.0, "m2": 0.5, "r0": 0.5}),
+    ("quintic_ramp", {"beta": 0.3, "c": -0.7}),
+]
 
 
-def test_relaxed_monotonicity_convex_builtins_zero():
-    for pid in CONVEX_IDS:
-        assert estimate_relaxed_monotonicity(make_potential(pid, b=0.8)) <= 1e-12
+@pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
+@pytest.mark.parametrize(
+    "pid, params", PARAMETER_VARIANTS, ids=[f"{pid}{params}" for pid, params in PARAMETER_VARIANTS]
+)
+def test_relaxed_monotonicity_constant_matches_the_pair_sample(pid, params, b):
+    p = make_potential(pid, b=b, **params)
+    sample = relaxed_monotonicity_reference(p)
+    if pid == "min_quadratics" and params in ({}, {"c2": -0.5}):
+        # the parabolas cross at concave kinks, where no ratio is bounded
+        assert p.concave_kinks() and p.m_j == np.inf and sample > 1e6
+    else:
+        assert abs(p.m_j - sample) <= 1e-6
 
 
 def test_concave_kinks_make_the_relaxed_monotonicity_constant_infinite():
@@ -359,32 +392,25 @@ def test_concave_kinks_make_the_relaxed_monotonicity_constant_infinite():
     # the subgradient jumps down from the outer slope to the inner one
     p = MinQuadraticsPotential(b=1.0)
     assert p.concave_kinks() == p.breakpoints() == (0.0, 2.0)
-    assert estimate_relaxed_monotonicity(p) == np.inf
+    assert p.m_j == np.inf and not p.convex
     shallow = MinQuadraticsPotential(b=1.0, c2=-0.5)
-    assert len(shallow.concave_kinks()) == 2 and estimate_relaxed_monotonicity(shallow) == np.inf
-    assert MinQuadraticsPotential(b=1.0, c2=1.0).concave_kinks() == ()  # convex: one parabola
+    assert len(shallow.concave_kinks()) == 2 and shallow.m_j == np.inf
+    one = MinQuadraticsPotential(b=1.0, c2=1.0)  # convex: one parabola
+    assert one.concave_kinks() == () and one.m_j == 0.0 and one.convex
 
 
-# the pair-sample estimates of the laws without a concave kink, as float.hex
-PAIR_SAMPLE_ESTIMATES = {
-    ("exp_quadratic", 0.0): "0x1.fffffe115bba2p-1",
-    ("exp_quadratic", 1.0): "0x1.ffffff743f11ap-1",
-    **{(pid, b): "0x0.0p+0" for pid in CONVEX_IDS for b in (0.0, 1.0)},
-}
-
-
-@pytest.mark.parametrize("pid, b", PAIR_SAMPLE_ESTIMATES)
-def test_laws_without_a_concave_kink_keep_the_pair_sample(pid, b):
-    p = make_potential(pid, b=b)
+@pytest.mark.parametrize("k", (0.0, 0.5))
+def test_a_law_with_only_a_piece_table_and_prox_gets_its_constants(k):
+    p = SoftenedAbs(b=0.3, k=k)
     assert p.concave_kinks() == ()
-    assert estimate_relaxed_monotonicity(p).hex() == PAIR_SAMPLE_ESTIMATES[pid, b]
+    assert p.m_j == k and p.convex == (k == 0.0)
 
 
-def test_potential_without_pieces_keeps_the_pair_sample():
-    # j = -(r-b)^2 / 2 states no piece table; its constant is 1
+def test_concave_quadratic_curves_by_minus_one():
     p = ConcaveQuadratic(b=1.0)
     assert p.concave_kinks() == ()
-    assert estimate_relaxed_monotonicity(p) == pytest.approx(1.0, rel=1e-9)
+    assert p.m_j == 1.0 and not p.convex
+    assert FlatPotential(b=1.0).m_j == 0.0 and FlatPotential(b=1.0).convex
 
 
 def test_scaled_sign_condition_outcomes():

@@ -390,7 +390,7 @@ class TestHvi:
             assert solve_hvi(m, data, p, opts).converged, (g, q, alpha)
 
     @pytest.mark.parametrize(
-        "pid", [pid for pid in potential_ids() if make_potential(pid).m_j is not None]
+        "pid", [pid for pid in potential_ids() if np.isfinite(make_potential(pid).m_j)]
     )
     def test_solution_invariant_under_renumbering(self, pid):
         base = generate_unit_square_mesh(8)

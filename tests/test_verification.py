@@ -13,6 +13,7 @@ from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
     MinQuadraticsPotential,
+    Potential,
     QuadraticPotential,
     TruncatedQuadraticPotential,
 )
@@ -288,13 +289,9 @@ class TestAlphaConvergence:
         m = mesh8()
         d = ProblemData.make(m, b=1.0, alpha=1.0)
 
-        class Flat(AbsPotential):
-            def subdiff_bounds(self, r):
-                z = np.zeros_like(r)
-                return z, z.copy()
-
-            def value_array(self, r):
-                return np.zeros_like(r)
+        class Flat(Potential):
+            def _piece(self, i, r):
+                return 0.0, 0.0, 0.0
 
         with pytest.raises(PreconditionError, match="strict"):
             verify_alpha_convergence(m, d, Flat(b=1.0))
