@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,8 +69,8 @@ def _nodal_values(mesh: Mesh, spec: ScalarField) -> np.ndarray:
 class ProblemData:
     """Internal energy, boundary flux, exchange datum, and coefficient.
 
-    ``g`` is stored nodally; ``q`` as endpoint values per G2 edge (a constant
-    per edge becomes an equal pair); ``b`` is a constant or a nodal array.
+    ``g`` is stored nodally; ``q`` as endpoint values per G2 edge; ``b`` is
+    a constant or a nodal array.
     ``alpha`` is the positive exchange coefficient on G3.
     """
 
@@ -94,49 +94,26 @@ class ProblemData:
         cls,
         mesh: Mesh,
         g: ScalarField = 0.0,
-        q: ScalarField | Mapping[int, float] = 0.0,
+        q: float | Callable[[np.ndarray, np.ndarray], np.ndarray] = 0.0,
         b: ScalarField = 0.0,
         alpha: float = 1.0,
     ) -> "ProblemData":
         """Normalize user-facing field specs against a mesh.
 
-        ``q`` may also be a mapping from boundary-edge index to a constant
-        flux; indices of edges not tagged G2 are rejected.
+        ``q`` is a number or a callable of ``(x, y)``, evaluated at the
+        endpoints of every G2 edge.
         """
         g_nodal = _nodal_values(mesh, g)
 
         g2_edges = mesh.edges_with_tag(BoundaryTag.GAMMA2)
-        if isinstance(q, Mapping):
-            g2_index = {
-                e: k
-                for k, e in enumerate(
-                    i for i, t in enumerate(mesh.boundary_tags) if t == BoundaryTag.GAMMA2
-                )
-            }
-            q_pairs = np.zeros((len(g2_edges), 2))
-            for edge_idx, value in q.items():
-                if edge_idx not in g2_index:
-                    tag = mesh.boundary_tags[edge_idx].value if 0 <= edge_idx < len(mesh.boundary_tags) else "?"
-                    raise ValueError(
-                        f"flux supplied on boundary edge {edge_idx} tagged {tag}; q lives on G2 only"
-                    )
-                q_pairs[g2_index[edge_idx], :] = float(value)
-        elif callable(q):
+        if callable(q):
             ends = mesh.vertices[g2_edges]  # (ne, 2, 2)
             q_pairs = np.asarray(q(ends[:, :, 0], ends[:, :, 1]), dtype=float)
-            q_pairs = np.broadcast_to(q_pairs, (len(g2_edges), 2)).astype(float)
+        elif np.ndim(q) == 0:
+            q_pairs = np.asarray(q, dtype=float)
         else:
-            arr = np.asarray(q, dtype=float)
-            if arr.ndim == 0:
-                q_pairs = np.full((len(g2_edges), 2), float(arr))
-            elif arr.shape == (len(g2_edges),):  # one constant per G2 edge
-                q_pairs = np.repeat(arr[:, None], 2, axis=1)
-            elif arr.shape == (len(g2_edges), 2):
-                q_pairs = arr.copy()
-            elif arr.shape == (mesh.num_vertices,):  # nodal flux, traced on G2
-                q_pairs = arr[g2_edges]
-            else:
-                raise ValueError(f"cannot interpret q with shape {arr.shape}")
+            raise ValueError(f"q must be a number or a callable of (x, y), got shape {np.shape(q)}")
+        q_pairs = np.broadcast_to(q_pairs, (len(g2_edges), 2)).astype(float)
 
         if callable(b):
             b_val: float | np.ndarray = _nodal_values(mesh, b)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,6 @@ from .potentials import (
     check_scaled_sign_condition,
     check_sign_condition,
     check_strict_condition,
-    default_grid,
     make_potential,
     potential_ids,
 )
@@ -84,6 +84,8 @@ def _keys_read(command: str, experiment_id: str | None, kind: str) -> set[str]:
     of the experiments ``linear_theorem`` never reads it; ``problem.kind`` is
     read by a solve and by ``refinement``, ``problem.alpha`` by all but a
     ``dirichlet`` solve (the limit problem has no exchange coefficient).
+    ``refinement`` accepts ``mesh.*`` and leaves it unused: it builds its
+    meshes from ``experiment.n_list``.
     """
     read = {"command", "problem.b", "experiment.workers"}
     potential = {"potential.id", "potential.b", _PARAM_PREFIX}
@@ -352,7 +354,8 @@ def parse_config(text: str) -> RunConfig:
 
     # cross-field requirements
     if not errors:
-        if cfg.command in ("solve", "experiment") and cfg.mesh_n is None and cfg.mesh_file is None:
+        meshed = cfg.command in ("solve", "experiment") and cfg.experiment_id != "refinement"
+        if meshed and cfg.mesh_n is None and cfg.mesh_file is None:
             errors.append("either mesh.n or mesh.file is required")
         if cfg.command == "solve":
             cfg.problem_kind = kind
@@ -414,13 +417,17 @@ def _build_mesh(cfg: RunConfig) -> Mesh:
     return generate_unit_square_mesh(cfg.mesh_n)
 
 
+def _alpha(cfg: RunConfig) -> float:
+    return cfg.alpha if cfg.alpha is not None else 1.0
+
+
 def _build_data(cfg: RunConfig, mesh: Mesh) -> ProblemData:
     return ProblemData.make(
         mesh,
         g=compile_expression(cfg.g_text),
         q=compile_expression(cfg.q_text),
         b=cfg.b,
-        alpha=cfg.alpha if cfg.alpha is not None else 1.0,
+        alpha=_alpha(cfg),
     )
 
 
@@ -481,8 +488,6 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_experiment(cfg: RunConfig, out: Path) -> int:
-    mesh = _build_mesh(cfg)
-    data = _build_data(cfg, mesh)
     exp = cfg.experiment_id
     if exp not in _EXPERIMENTS:  # pragma: no cover - guarded by parse_config
         raise ConfigError([f"unknown experiment {exp!r}"])
@@ -495,42 +500,46 @@ def _run_experiment(cfg: RunConfig, out: Path) -> int:
     kwargs = {key: given[key] for key in params if key in given}
     kwargs["opts"] = cfg.solver
 
-    if exp == "refinement":
+    if exp == "refinement":  # builds its own meshes from experiment.n_list
         kind = cfg.problem_kind or "robin"
-        args = ()
-        kwargs.update(
-            alpha=data.alpha,
+        report = experiment(
+            alpha=_alpha(cfg),
             g=compile_expression(cfg.g_text),
             q=compile_expression(cfg.q_text),
             b=cfg.b,
             problem="hvi" if kind in ("hvi", "vi") else kind,
             p=_build_potential(cfg) if cfg.potential_id else None,
+            **kwargs,
         )
-    elif exp == "continuous_dependence":
-        bump = compile_expression(cfg.experiment.get("bump", "x*(1-x)*y*(1-y)"))
-        shape = bump(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        perturbed = [
-            ProblemData(g=data.g + 2.0 ** (-k) * shape, q=data.q, b=data.b, alpha=data.alpha)
-            for k in range(cfg.experiment.get("levels", 5))
-        ]
-        args = (mesh, data, _build_potential(cfg), perturbed)
-    elif exp == "linear_theorem":
-        args = (mesh, data)
     else:
-        args = (mesh, data, _build_potential(cfg))
-    report = experiment(*args, **kwargs)
+        mesh = _build_mesh(cfg)
+        data = _build_data(cfg, mesh)
+        args = (mesh, data) if exp == "linear_theorem" else (mesh, data, _build_potential(cfg))
+        if exp == "continuous_dependence":
+            bump = compile_expression(cfg.experiment.get("bump", "x*(1-x)*y*(1-y)"))
+            shape = bump(mesh.vertices[:, 0], mesh.vertices[:, 1])
+            perturbed = [
+                ProblemData(g=data.g + 2.0 ** (-k) * shape, q=data.q, b=data.b, alpha=data.alpha)
+                for k in range(cfg.experiment.get("levels", 5))
+            ]
+            args += (perturbed,)
+        report = experiment(*args, **kwargs)
 
     _write(out / f"{exp}.csv", report.to_csv())
     _write(out / "verdicts.txt", report.summary())
     return 0 if report.passed else 1
 
 
-def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None = None) -> str:
+def describe_potential(
+    pid: str, b: float = 0.0, params: dict[str, float] | None = None
+) -> tuple[str, bool]:
     """Tabulate a potential and the verdicts of its hypothesis checks.
 
     The table straddles every breakpoint; the verdict block reports the
     growth bound, the anchor sign condition and its strict form, the
     relaxed-monotonicity constant, and the scaled pairwise sign condition.
+    Returns the text and whether the growth bound and the sign condition
+    hold, which ``check-potential``'s exit status reports.
     """
     p = make_potential(pid, b=b, **(params or {}))
     bps = p.breakpoints()
@@ -553,8 +562,7 @@ def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None
         )
     lines.append("")
 
-    grid_full = default_grid(p)
-    growth = check_growth(p, grid_full)
+    growth = check_growth(p)
     if growth.used_c0 is None:
         lines.append(
             f"growth bound: fail ({growth.details}); grid fit c0 = {growth.fitted_c0:.6g}, "
@@ -565,12 +573,12 @@ def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None
             f"growth bound |dj(r)| <= {growth.used_c0:.6g} + {growth.used_c1:.6g}|r|: "
             f"{'pass' if growth.passed else 'fail'} (worst margin {growth.worst_margin:.3e})"
         )
-    sign = check_sign_condition(p, grid_full)
+    sign = check_sign_condition(p)
     lines.append(
         f"sign condition j0(r; b-r) <= 0: {'pass' if sign.passed else 'fail'} "
         f"(worst {sign.worst_margin:.3e} at r = {sign.worst_point[0]:.6g})"
     )
-    strict = check_strict_condition(p, grid_full)
+    strict = check_strict_condition(p)
     lines.append(
         f"strict sign condition (zero only at r = b): {'pass' if strict.passed else 'fail'} "
         f"(worst off-anchor value {strict.worst_margin:.3e})"
@@ -581,16 +589,14 @@ def describe_potential(pid: str, b: float = 0.0, params: dict[str, float] | None
         f"scaled sign condition (coefficient monotonicity gate): "
         f"{'pass' if scaled.passed else 'fail'} (worst {scaled.worst_margin:.3e})"
     )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", growth.passed and sign.passed
 
 
 def _run_check_potential(cfg: RunConfig, out: Path) -> int:
     anchor = cfg.potential_b if cfg.potential_b is not None else cfg.b
-    text = describe_potential(cfg.potential_id or "", b=anchor, params=cfg.potential_params)
+    text, ok = describe_potential(cfg.potential_id or "", b=anchor, params=cfg.potential_params)
     sys.stdout.write(text)
     _write(out / "potential.txt", text)
-    p = make_potential(cfg.potential_id or "", b=anchor, **cfg.potential_params)
-    ok = check_growth(p).passed and check_sign_condition(p).passed
     return 0 if ok else 1
 
 
@@ -625,7 +631,31 @@ def _write_error(out: Path, exc: Exception, status: int) -> None:
     _write(out / "error.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _one_blas_thread() -> None:
+    """Set numpy's and scipy's bundled OpenBLAS to one thread, unless the user chose a count.
+
+    On a 2-core machine the small dense kernels of a solve ran 2-3 times
+    slower in the median with OpenBLAS's default two threads.  A library or
+    symbol that is not there (another BLAS, another build) is left alone.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    import ctypes
+
+    for module, symbol in (
+        ("numpy._core._multiarray_umath", "scipy_openblas_set_num_threads64_"),
+        ("scipy.linalg._fblas", "scipy_openblas_set_num_threads"),
+    ):
+        path = getattr(sys.modules.get(module), "__file__", None)
+        # the extension's handle also finds the symbols of the libraries it links
+        set_threads = getattr(ctypes.CDLL(path), symbol, None) if path else None
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     parser = argparse.ArgumentParser(
         prog="hviheat",
         description="Finite-element solves and theory-checking experiments "

@@ -41,6 +41,7 @@ offset) is used to cover the piecewise structure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -171,7 +172,7 @@ class Potential:
             r for i, r in enumerate(kinks) if self._piece(i, r)[1] > self._piece(i + 1, r)[1]
         )
 
-    @property
+    @functools.cached_property
     def m_j(self) -> float:
         """Relaxed-monotonicity constant: the least ``m >= 0`` making ``j + m r^2/2`` convex.
 
@@ -180,7 +181,7 @@ class Potential:
         with a concave kink, and otherwise the largest negative curvature on
         ``default_grid``, each kink taken on both of its pieces.  The sample
         is exact when each piece's curvature is constant or extreme at the
-        piece's ends, as for every built-in.
+        piece's ends, as for every built-in.  It is derived once per instance.
         """
         if self.concave_kinks():
             return math.inf
@@ -572,37 +573,21 @@ def pair_grid(p: Potential) -> np.ndarray:
     return np.unique(base)
 
 
-def _magnitude(p: Potential, grid: np.ndarray) -> np.ndarray:
-    lo, hi = p.subdiff_bounds(grid)
-    return np.maximum(np.abs(lo), np.abs(hi))
+def check_growth(p: Potential) -> GrowthReport:
+    """Check ``|dj(r)| <= c0 + c1 |r|`` on ``default_grid`` and fit tight constants.
 
-
-def check_growth(
-    p: Potential,
-    grid: np.ndarray | None = None,
-    c0: float | None = None,
-    c1: float | None = None,
-) -> GrowthReport:
-    """Check ``|dj(r)| <= c0 + c1 |r|`` on the grid and fit tight constants.
-
-    Uses the potential's declared constants unless overrides are given.  A
-    potential without declared constants (superlinear growth) fails, with
-    grid-fitted constants reported for reference.
+    Uses the potential's declared constants.  A potential without declared
+    constants (superlinear growth) fails, with grid-fitted constants reported
+    for reference.
     """
-    if grid is None:
-        grid = default_grid(p)
-    mag = _magnitude(p, grid)
+    grid = default_grid(p)
+    lo, hi = p.subdiff_bounds(grid)
+    mag = np.maximum(np.abs(lo), np.abs(hi))
     absr = np.abs(grid)
-
-    slope_fit = 0.0
-    if len(grid) > 1 and np.ptp(absr) > 0.0:
-        slope_fit = max(0.0, float(np.polyfit(absr, mag, 1)[0]))
-    fitted_c1 = slope_fit
+    fitted_c1 = max(0.0, float(np.polyfit(absr, mag, 1)[0]))
     fitted_c0 = float(np.max(mag - fitted_c1 * absr))
 
-    use_c0 = c0 if c0 is not None else p.c0
-    use_c1 = c1 if c1 is not None else p.c1
-    if use_c0 is None or use_c1 is None:
+    if p.c0 is None or p.c1 is None:
         return GrowthReport(
             passed=False,
             worst_margin=float("inf"),
@@ -614,48 +599,41 @@ def check_growth(
             details="no linear growth constants declared",
         )
 
-    margins = mag - (use_c0 + use_c1 * absr)
+    margins = mag - (p.c0 + p.c1 * absr)
     worst = int(np.argmax(margins))
-    scale = 1.0 + abs(use_c0) + abs(use_c1) * float(absr.max(initial=0.0))
+    scale = 1.0 + abs(p.c0) + abs(p.c1) * float(absr.max())
     return GrowthReport(
         passed=bool(margins[worst] <= 1e-12 * scale),
         worst_margin=float(margins[worst]),
         worst_r=float(grid[worst]),
-        used_c0=float(use_c0),
-        used_c1=float(use_c1),
+        used_c0=float(p.c0),
+        used_c1=float(p.c1),
         fitted_c0=fitted_c0,
         fitted_c1=fitted_c1,
     )
 
 
-def check_sign_condition(
-    p: Potential, grid: np.ndarray | None = None, slack: float = 1e-14
-) -> CheckReport:
-    """Check the anchor sign condition ``j0(r; b-r) <= 0`` on the grid."""
-    if grid is None:
-        grid = default_grid(p)
+def check_sign_condition(p: Potential) -> CheckReport:
+    """Check the anchor sign condition ``j0(r; b-r) <= 0`` on ``default_grid``, down to 1e-14."""
+    grid = default_grid(p)
     vals = p.j0(grid, p.b - grid)
     worst = int(np.argmax(vals))
     return CheckReport(
         name="sign_condition",
-        passed=bool(vals[worst] <= slack),
+        passed=bool(vals[worst] <= 1e-14),
         worst_margin=float(vals[worst]),
         worst_point=(float(grid[worst]),),
     )
 
 
-def check_strict_condition(p: Potential, grid: np.ndarray | None = None) -> CheckReport:
+def check_strict_condition(p: Potential) -> CheckReport:
     """Check that ``j0(r; b-r)`` vanishes only at the anchor itself.
 
-    Asserts strict negativity at every grid point different from ``b``; the
-    anchor point is excluded by construction.
+    Asserts strict negativity at every point of ``default_grid`` different
+    from ``b``; the anchor point is excluded by construction.
     """
-    if grid is None:
-        grid = default_grid(p)
-    mask = grid != p.b
-    pts = grid[mask]
-    if len(pts) == 0:
-        return CheckReport("strict_condition", True, -np.inf, (p.b,), "grid held only the anchor")
+    grid = default_grid(p)
+    pts = grid[grid != p.b]
     vals = p.j0(pts, p.b - pts)
     worst = int(np.argmax(vals))
     return CheckReport(
@@ -666,25 +644,18 @@ def check_strict_condition(p: Potential, grid: np.ndarray | None = None) -> Chec
     )
 
 
-def check_scaled_sign_condition(
-    p: Potential,
-    grid: np.ndarray | None = None,
-    c_values: tuple[float, ...] = (1.0, 2.0, 10.0, 100.0),
-    slack: float = 1e-10,
-) -> CheckReport:
+def check_scaled_sign_condition(p: Potential) -> CheckReport:
     """Pairwise sign condition with scaling factors, gating coefficient monotonicity.
 
-    Checks ``j0(r; -(r-s)+) + c * j0(s; (r-s)+) <= 0`` for every scale
-    ``c >= 1``.  The ``c = 1`` instance is checked on all grid pairs (it is
-    the convexity-type test); the ``c > 1`` instances are checked on pairs
-    with both points at or below the anchor, the range where solutions of the
-    comparison theory live, since any potential whose subgradient is positive
-    somewhere violates the unrestricted condition for large ``c``.
+    Checks ``j0(r; -(r-s)+) + c * j0(s; (r-s)+) <= 0``, down to 1e-10, on
+    ``pair_grid`` for the scales ``c`` = 1, 2, 10 and 100.  The ``c = 1``
+    instance is checked on all grid pairs (it is the convexity-type test);
+    the ``c > 1`` instances are checked on pairs with both points at or below
+    the anchor, the range where solutions of the comparison theory live,
+    since any potential whose subgradient is positive somewhere violates the
+    unrestricted condition for large ``c``.
     """
-    if grid is None:
-        grid = pair_grid(p)
-    if any(c < 1.0 for c in c_values):
-        raise ValueError("all scale factors must be >= 1")
+    grid = pair_grid(p)
     lo, hi = p.subdiff_bounds(grid)
     r = grid[:, None]
     s = grid[None, :]
@@ -694,7 +665,7 @@ def check_scaled_sign_condition(
 
     worst_margin = -np.inf
     worst_point = (float(p.b), float(p.b), 1.0)
-    for c in sorted(set(float(c) for c in c_values)):
+    for c in (1.0, 2.0, 10.0, 100.0):
         # for t > 0: j0(r; -t) = -t*lo(r),  j0(s; t) = t*hi(s)
         term = t * (c * hi[None, :] - lo[:, None])
         domain = pos if c == 1.0 else (pos & below)
@@ -705,7 +676,7 @@ def check_scaled_sign_condition(
             worst_point = (float(grid[idx[0]]), float(grid[idx[1]]), c)
     return CheckReport(
         name="scaled_sign_condition",
-        passed=bool(worst_margin <= slack),
+        passed=bool(worst_margin <= 1e-10),
         worst_margin=worst_margin,
         worst_point=worst_point,
     )

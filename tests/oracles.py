@@ -15,6 +15,8 @@ and G3 vertex sets; the library scatters the classes over the tagged edges.
 ``schur_reference`` builds the G3 Schur complement by one bulk back-solve per
 G3 node, and ``robin_reference`` solves the Robin problem directly on the
 free rows of ``A + alpha M``; the library gets both from the G3 trace.
+``l2_norm_reference`` integrates a P1 field's square triangle by triangle,
+without the assembled mass matrix.
 ``coercivity_reference`` gets the coercivity constant and the trace norm
 from dense generalized eigenproblems, and ``trace_constant_reference`` the
 sharp constant of the lumped G3 trace; the library gets the latter from the
@@ -313,6 +315,17 @@ def robin_reference(mesh, data, boundary_mass: str = "consistent") -> np.ndarray
     u = np.zeros(mesh.num_vertices)
     u[free] = spla.spsolve(sp.csc_matrix(K[free][:, free]), rhs[free])
     return u
+
+
+def l2_norm_reference(mesh: Mesh, nodal: np.ndarray) -> float:
+    """L2 norm of a P1 field: ``|T|/6 (sum v_i^2 + sum_{i<j} v_i v_j)`` summed over the triangles."""
+    total = 0.0
+    for tri in mesh.triangles:
+        (x0, y0), (x1, y1), (x2, y2) = mesh.vertices[tri]
+        area = 0.5 * abs((x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0))
+        a, b, c = nodal[tri]
+        total += area / 6.0 * (a * a + b * b + c * c + a * b + b * c + c * a)
+    return float(np.sqrt(total))
 
 
 def coercivity_reference(mesh) -> tuple[float, float]:

@@ -87,7 +87,7 @@ def random_h0_data(mesh, rng):
     q = rng.uniform(0.0, 1.0, 4 * _n_of(mesh) // 2)  # one constant per G2 edge
     b = rng.uniform(0.0, 2.0)
     alpha = rng.uniform(0.5, 20.0)
-    return ProblemData.make(mesh, g=g, q=q, b=b, alpha=alpha), b
+    return ProblemData(g=g, q=np.repeat(q[:, None], 2, axis=1), b=b, alpha=alpha), b
 
 
 def _n_of(mesh):

@@ -93,18 +93,28 @@ def test_load_additive_in_data():
     m = generate_unit_square_mesh(3)
     rng = np.random.default_rng(11)
     g1, g2 = rng.standard_normal(m.num_vertices), rng.standard_normal(m.num_vertices)
-    q1, q2 = rng.standard_normal(6), rng.standard_normal(6)  # one constant per G2 edge
-    f12 = assemble_load(m, ProblemData.make(m, g=g1 + g2, q=q1 + q2))
+    c1, c2 = rng.standard_normal(3), rng.standard_normal(3)
+
+    def q1(x, y):
+        return c1[0] + c1[1] * x + c1[2] * np.sin(3.0 * y)
+
+    def q2(x, y):
+        return c2[0] * np.exp(x) + c2[1] * x * y + c2[2] * y**2
+
+    f12 = assemble_load(m, ProblemData.make(m, g=g1 + g2, q=lambda x, y: q1(x, y) + q2(x, y)))
     f1 = assemble_load(m, ProblemData.make(m, g=g1, q=q1))
     f2 = assemble_load(m, ProblemData.make(m, g=g2, q=q2))
     assert np.allclose(f1 + f2, f12, atol=1e-12)
 
 
-def test_flux_on_non_gamma2_edge_rejected():
+def test_flux_is_a_number_or_a_callable():
     m = generate_unit_square_mesh(2)
-    g1_edge = next(i for i, t in enumerate(m.boundary_tags) if t.value == "G1")
-    with pytest.raises(ValueError, match="G2 only"):
-        ProblemData.make(m, q={g1_edge: 1.0})
+    with pytest.raises(ValueError, match="q must be a number or a callable"):
+        ProblemData.make(m, q=np.ones(4))
+    pairs = ProblemData.make(m, q=lambda x, y: x + 2.0 * y).q
+    ends = m.vertices[m.edges_with_tag(BoundaryTag.GAMMA2)]
+    assert np.array_equal(pairs, ends[:, :, 0] + 2.0 * ends[:, :, 1])
+    assert np.array_equal(ProblemData.make(m, q=0.5).q, np.full((len(ends), 2), 0.5))
 
 
 def test_boundary_mass_single_edge_closed_form():

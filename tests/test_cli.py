@@ -1,4 +1,6 @@
+import ctypes
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hviheat.assembly import ProblemData
 from hviheat.cli import (
     EXPERIMENTS,
     ConfigError,
+    _one_blas_thread,
     describe_potential,
     main,
     parse_config,
@@ -497,20 +500,32 @@ class TestExperimentDefaults:
 
 class TestDescribePotential:
     def test_exp_quadratic_report(self):
-        text = describe_potential("exp_quadratic", b=1.0)
+        text, ok = describe_potential("exp_quadratic", b=1.0)
         assert "growth bound" in text and "pass" in text
         assert "sign condition j0(r; b-r) <= 0: pass" in text
         assert "scaled sign condition" in text and "fail" in text
         assert "relaxed monotonicity constant: 1\n" in text
+        assert ok  # the scaled condition does not enter the verdict
 
     def test_abs_all_checks_pass(self):
-        text = describe_potential("abs", b=1.0)
-        assert "fail" not in text
+        text, ok = describe_potential("abs", b=1.0)
+        assert "fail" not in text and ok
         assert "relaxed monotonicity constant: 0\n" in text
 
     def test_concave_kink_reports_an_infinite_constant(self):
-        text = describe_potential("min_quadratics", b=1.0)
+        text, _ = describe_potential("min_quadratics", b=1.0)
         assert "relaxed monotonicity constant: inf\n" in text
+
+    @pytest.mark.parametrize(
+        "pid, failed",
+        [
+            ("quintic_ramp", "growth bound: fail"),  # no linear growth constants
+            ("tresca", "sign condition j0(r; b-r) <= 0: fail"),  # kink at 0, anchor at 1
+        ],
+    )
+    def test_verdict_fails_with_the_growth_bound_or_the_sign_condition(self, pid, failed):
+        text, ok = describe_potential(pid, b=1.0)
+        assert failed in text and not ok
 
     def test_unknown_id_lists_builtins(self):
         with pytest.raises(Exception) as err:
@@ -611,3 +626,54 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["check-potential", "--config", str(config), "--out", str(out)]) == 0
         assert "relaxed monotonicity" in (out / "potential.txt").read_text()
+
+    def test_check_potential_exits_1_when_the_growth_bound_fails(self, tmp_path):
+        config = tmp_path / "p.cfg"
+        config.write_text("command = check-potential\npotential.id = quintic_ramp\n")
+        out = tmp_path / "out"
+        assert main(["check-potential", "--config", str(config), "--out", str(out)]) == 1
+        assert "growth bound: fail" in (out / "potential.txt").read_text()
+
+    def test_refinement_needs_no_mesh(self, tmp_path):
+        # refinement builds its meshes from experiment.n_list; mesh.n is accepted and unused
+        base = (
+            "command = experiment\nexperiment.id = refinement\nexperiment.n_list = 2,4\n"
+            "problem.g = -1\nproblem.q = 0.5\nproblem.b = 1\nproblem.alpha = 2\n"
+        )
+        outputs = []
+        for name, extra in (("bare", ""), ("n1", "mesh.n = 1\n")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(base + extra)
+            out = tmp_path / name
+            assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append((out / "refinement.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        # every other experiment still needs a mesh
+        config = tmp_path / "comparison.cfg"
+        config.write_text(base.replace("refinement\nexperiment.n_list = 2,4", "comparison")
+                          + "potential.id = abs\n")
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "c")]) == 2
+        assert "either mesh.n or mesh.file is required" in (tmp_path / "c" / "error.json").read_text()
+
+
+def test_cli_sets_one_blas_thread_unless_a_variable_chooses_the_count(monkeypatch):
+    module = sys.modules.get("numpy._core._multiarray_umath")
+    lib = ctypes.CDLL(module.__file__) if module else None
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's bundled OpenBLAS is not here")
+    get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    before = get()
+    try:
+        put(2)
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+            monkeypatch.setenv(variable, "2")
+            _one_blas_thread()
+            assert get() == 2
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        _one_blas_thread()
+        assert get() == 1
+    finally:
+        put(before)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hviheat.potentials
 from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
@@ -54,6 +55,14 @@ class FlatPotential(Potential):
 
     def _piece(self, i, r):
         return 0.0, 0.0, 0.0
+
+
+class BoundlessQuadratic(QuadraticPotential):
+    """``(r-b)^2 / 2`` declaring the growth bound ``|dj(r)| <= 0``, which it breaks."""
+
+    def __init__(self, b=0.0):
+        super().__init__(b)
+        self.c0 = self.c1 = 0.0
 
 
 class ConcaveQuadratic(Potential):
@@ -313,15 +322,16 @@ def test_growth_exp_quadratic_passes_with_declared_constants():
 
 
 def test_growth_abs_bounded():
-    assert check_growth(AbsPotential(b=0.0), c0=1.0, c1=0.0).passed
+    report = check_growth(AbsPotential(b=0.0))
+    assert report.passed
+    assert (report.used_c0, report.used_c1) == (1.0, 0.0)
 
 
 def test_growth_fails_with_zero_constants():
-    p = QuadraticPotential(b=2.0)
-    report = check_growth(p, c0=0.0, c1=0.0)
+    report = check_growth(BoundlessQuadratic(b=2.0))
     assert not report.passed
-    # r = 0 is among the violations: |dj(0)| = |b| > 0
-    assert check_growth(p, grid=np.asarray([0.0]), c0=0.0, c1=0.0).worst_margin == 2.0
+    # |dj(r)| = |r - b| is largest at the ends of the grid, b -+ 10
+    assert report.worst_margin == 10.0 and report.worst_r == -8.0
 
 
 def test_growth_without_declared_constants():
@@ -406,6 +416,17 @@ def test_a_law_with_only_a_piece_table_and_prox_gets_its_constants(k):
     assert p.m_j == k and p.convex == (k == 0.0)
 
 
+def test_relaxed_monotonicity_constant_is_derived_once_per_instance(monkeypatch):
+    grids = []
+    grid = hviheat.potentials.default_grid
+    monkeypatch.setattr(hviheat.potentials, "default_grid", lambda p: grids.append(p) or grid(p))
+    p = ExpQuadraticPotential(b=1.0)
+    assert (p.m_j, p.convex, p.m_j, p.convex) == (1.0, False, 1.0, False)
+    assert grids == [p]
+    fresh = ExpQuadraticPotential(b=1.0)
+    assert fresh.m_j == 1.0 and grids == [p, fresh]
+
+
 def test_concave_quadratic_curves_by_minus_one():
     p = ConcaveQuadratic(b=1.0)
     assert p.concave_kinks() == ()
@@ -419,11 +440,6 @@ def test_scaled_sign_condition_outcomes():
     assert check_scaled_sign_condition(TruncatedQuadraticPotential(b=1.0)).passed
     assert not check_scaled_sign_condition(ExpQuadraticPotential(b=1.0)).passed
     assert not check_scaled_sign_condition(MinQuadraticsPotential(b=1.0)).passed
-
-
-def test_scaled_sign_condition_rejects_small_scales():
-    with pytest.raises(ValueError):
-        check_scaled_sign_condition(QuadraticPotential(b=0.0), c_values=(0.5,))
 
 
 # -- scalar resolvent (prox) ---------------------------------------------------

@@ -35,7 +35,7 @@ from hviheat.potentials import (
     make_potential,
     potential_ids,
 )
-from oracles import robin_reference, schur_reference
+from oracles import l2_norm_reference, robin_reference, schur_reference
 
 # The benchmark's robustness grid: g takes both signs, so data violating the
 # sign conditions (solutions above the datum, nonconvex branches active) are in.
@@ -68,10 +68,28 @@ class TestDirichlet:
         m = generate_unit_square_mesh(4)
         rng = np.random.default_rng(5)
         g = rng.standard_normal(m.num_vertices)
-        q = rng.standard_normal(2 * 4)
-        up = solve_dirichlet(m, ProblemData.make(m, g=g, q=q, b=0.7, alpha=1.0))
-        um = solve_dirichlet(m, ProblemData.make(m, g=-g, q=-q, b=-0.7, alpha=1.0))
+        q = np.repeat(rng.standard_normal(2 * 4)[:, None], 2, axis=1)  # one constant per G2 edge
+        up = solve_dirichlet(m, ProblemData(g=g, q=q, b=0.7, alpha=1.0))
+        um = solve_dirichlet(m, ProblemData(g=-g, q=-q, b=-0.7, alpha=1.0))
         assert np.max(np.abs(up.solution.values + um.solution.values)) <= 1e-11
+
+    def test_second_order_l2_error_on_a_manufactured_solution(self):
+        # u = x^2 y^2 has -lap u = -(2x^2 + 2y^2), vanishes on G1 (x = 0), equals
+        # y^2 on G3 (x = 1) and has -du/dn = -2x^2 y on G2 (y = 0 and y = 1)
+        errors = []
+        for n in (4, 8, 16):
+            m = generate_unit_square_mesh(n)
+            data = ProblemData.make(
+                m,
+                g=lambda x, y: -(2 * x**2 + 2 * y**2),
+                q=lambda x, y: -2 * x**2 * y,
+                b=lambda x, y: y**2,
+                alpha=1.0,
+            )
+            x, y = m.vertices.T
+            errors.append(l2_norm_reference(m, solve_dirichlet(m, data).solution.values - x**2 * y**2))
+        ratios = np.divide(errors[:-1], errors[1:])
+        assert np.all((3.0 <= ratios) & (ratios <= 5.0)), ratios
 
     def test_fixed_nodes_carry_prescribed_values(self):
         m = generate_unit_square_mesh(3)
@@ -83,9 +101,10 @@ class TestDirichlet:
 
 
 class TestRobin:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @pytest.mark.parametrize("alpha", [1.0, 9.0])
-    def test_closed_form(self, alpha):
-        m = generate_unit_square_mesh(8)
+    def test_closed_form(self, alpha, n):
+        m = generate_unit_square_mesh(n)
         rep = solve_robin(m, ProblemData.make(m, b=1.0, alpha=alpha))
         expected = alpha / (1.0 + alpha) * m.vertices[:, 0]
         assert np.max(np.abs(rep.solution.values - expected)) <= 1e-10

@@ -394,30 +394,6 @@ class TestContinuousDependence:
 
 
 class TestRefinement:
-    def test_affine_exactness_across_meshes(self):
-        rep = refinement_study(
-            (2, 4, 8, 16),
-            alpha=1.0,
-            b=1.0,
-            problem="robin",
-            exact=lambda x, y: 0.5 * x,
-            expect_exact=True,
-        )
-        assert rep.passed
-        assert claim(rep, "nodal_error_at_machine_scale").verdict == "pass"
-
-    def test_second_order_on_manufactured_solution(self):
-        rep = refinement_study(
-            (4, 8, 16),
-            alpha=1.0,
-            g=lambda x, y: -(2 * x**2 + 2 * y**2),
-            q=lambda x, y: -2 * x**2 * y,
-            b=lambda x, y: y**2,
-            problem="dirichlet",
-            exact=lambda x, y: x**2 * y**2,
-        )
-        assert rep.passed, claim(rep, "second_order_l2").detail
-
     def test_single_mesh_single_row(self):
         rep = refinement_study((4,), alpha=1.0, b=1.0, problem="robin")
         assert len(rep.rows) == 1
