@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import functools
 import json
 import os
 import sys
@@ -277,6 +278,14 @@ class RunConfig:
     experiment_id: str | None = None
     experiment: dict[str, object] = field(default_factory=dict)
 
+    @functools.cached_property
+    def potential(self) -> Potential:
+        """The run's potential, built once: ``parse_config``'s check and the run share it."""
+        if self.potential_id is None:
+            raise ConfigError(["potential.id is required"])
+        anchor = self.potential_b if self.potential_b is not None else self.b
+        return make_potential(self.potential_id, b=anchor, **self.potential_params)
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a flat key/value configuration.
@@ -376,7 +385,7 @@ def parse_config(text: str) -> RunConfig:
                 errors.append(f"line {lineno}: problem.kind = {kind} needs a potential.id")
         if cfg.problem_kind == "vi" and cfg.potential_id is not None:
             try:
-                convex = _build_potential(cfg).convex
+                convex = cfg.potential.convex
             except ValueError:  # unknown potential or bad parameters: the run reports it
                 convex = True
             if not convex:
@@ -431,13 +440,6 @@ def _build_data(cfg: RunConfig, mesh: Mesh) -> ProblemData:
     )
 
 
-def _build_potential(cfg: RunConfig) -> Potential:
-    if cfg.potential_id is None:
-        raise ConfigError(["potential.id is required"])
-    anchor = cfg.potential_b if cfg.potential_b is not None else cfg.b
-    return make_potential(cfg.potential_id, b=anchor, **cfg.potential_params)
-
-
 def _solution_csv(mesh: Mesh, values: np.ndarray) -> str:
     rows = np.column_stack((np.arange(mesh.num_vertices), mesh.vertices, values))
     return "\n".join(["vertex_id,x,y,u", *_format_rows("%d,%.17g,%.17g,%.17g", rows)]) + "\n"
@@ -466,12 +468,9 @@ def _run_solve(cfg: RunConfig, out: Path) -> int:
         report = solve_dirichlet(mesh, data, cfg.solver)
     elif kind == "robin":
         report = solve_robin(mesh, data, cfg.solver)
-    elif kind == "robin_lumped":
-        report = solve_robin(mesh, data, cfg.solver, boundary_mass="lumped")
-    elif kind in ("hvi", "vi"):
-        report = solve_hvi(mesh, data, _build_potential(cfg), cfg.solver)
-    else:  # pragma: no cover - guarded by parse_config
-        raise ConfigError([f"unknown problem kind {kind!r}"])
+    else:  # hvi, vi, and robin_lumped: the linear law on the lumped weights is the quadratic one
+        p = make_potential("quadratic", b=cfg.b) if kind == "robin_lumped" else cfg.potential
+        report = solve_hvi(mesh, data, p, cfg.solver)
 
     _write(out / "solution.csv", _solution_csv(mesh, report.solution.values))
     _write(out / "certificate.csv", _certificate_csv(report))
@@ -508,13 +507,13 @@ def _run_experiment(cfg: RunConfig, out: Path) -> int:
             q=compile_expression(cfg.q_text),
             b=cfg.b,
             problem="hvi" if kind in ("hvi", "vi") else kind,
-            p=_build_potential(cfg) if cfg.potential_id else None,
+            p=cfg.potential if cfg.potential_id else None,
             **kwargs,
         )
     else:
         mesh = _build_mesh(cfg)
         data = _build_data(cfg, mesh)
-        args = (mesh, data) if exp == "linear_theorem" else (mesh, data, _build_potential(cfg))
+        args = (mesh, data) if exp == "linear_theorem" else (mesh, data, cfg.potential)
         if exp == "continuous_dependence":
             bump = compile_expression(cfg.experiment.get("bump", "x*(1-x)*y*(1-y)"))
             shape = bump(mesh.vertices[:, 0], mesh.vertices[:, 1])

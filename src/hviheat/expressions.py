@@ -1,27 +1,29 @@
-"""Tiny arithmetic expressions over (x, y) for configuration files.
+"""Arithmetic expressions over (x, y) for configuration files, in Python's syntax.
 
-The grammar covers exactly what the run configurations need: numeric
-literals, the coordinates ``x`` and ``y``, the four arithmetic operators,
-right-associative ``**``, unary sign, parentheses, and ``exp(...)``.  As in
-Python, ``**`` binds tighter than a sign on its left, so ``-x**2`` is
-``-(x**2)``, and its exponent may carry a sign (``2**-1``).  The
-compiled callable broadcasts over numpy arrays.  No ``eval`` involved.
+``ast.parse`` reads the text, and the tree may hold only decimal numbers,
+``x``, ``y``, ``+ - * / **``, unary signs and ``exp`` of one argument, at
+most ``MAX_DEPTH`` levels deep; anything else is an ``ExpressionError`` with
+its position.  The compiled callable broadcasts over numpy arrays.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
+import warnings
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["ExpressionError", "compile_expression"]
+__all__ = ["ExpressionError", "compile_expression", "MAX_DEPTH"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[()+\-*/]))"
-)
+MAX_DEPTH = 200  # levels of the tree: a sum of 200 terms, or 199 signs before an operand
+_OUTSIDE = re.compile(r"[^0-9A-Za-z_.+\-*/(), \t]")
+_DECIMAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_GRAMMAR = "decimal numbers, x, y, + - * / **, signs and exp(...) of one argument"
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 class ExpressionError(ValueError):
@@ -30,121 +32,56 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ExpressionError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
 def compile_expression(text: str) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Parse ``text`` into a vectorized callable ``f(x, y)``."""
-    tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None, len(text))
-
-    def advance():
-        nonlocal idx
-        tok = peek()
-        idx += 1
-        return tok
-
-    def expect_op(op: str):
-        kind, value, pos = advance()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r}", pos)
-
-    def parse_expr():
-        node = parse_term()
-        while True:
-            kind, value, _ = peek()
-            if kind == "op" and value in "+-":
-                advance()
-                rhs = parse_term()
-                if value == "+":
-                    node = (lambda a, b: (lambda x, y: a(x, y) + b(x, y)))(node, rhs)
-                else:
-                    node = (lambda a, b: (lambda x, y: a(x, y) - b(x, y)))(node, rhs)
-            else:
-                return node
-
-    def parse_term():
-        node = parse_unary()
-        while True:
-            kind, value, pos = peek()
-            if kind == "op" and value in "*/":
-                advance()
-                rhs = parse_unary()
-                if value == "*":
-                    node = (lambda a, b: (lambda x, y: a(x, y) * b(x, y)))(node, rhs)
-                else:
-                    node = (lambda a, b: (lambda x, y: a(x, y) / b(x, y)))(node, rhs)
-            else:
-                return node
-
-    def parse_unary():
-        kind, value, _ = peek()
-        if kind == "op" and value in "+-":
-            advance()
-            inner = parse_unary()
-            if value == "-":
-                return (lambda a: (lambda x, y: -a(x, y)))(inner)
-            return inner
-        return parse_power()
-
-    def parse_power():  # binds tighter than a sign on its left, as in Python
-        base = parse_atom()
-        kind, value, _ = peek()
-        if kind == "op" and value == "**":
-            advance()
-            exponent = parse_unary()  # right associative, and may carry a sign
-            return (lambda a, b: (lambda x, y: a(x, y) ** b(x, y)))(base, exponent)
-        return base
-
-    def parse_atom():
-        kind, value, pos = advance()
-        if kind == "num":
-            const = float(value)
-            # callers broadcast scalars themselves; x*0 keeps the shape honest
-            return lambda x, y: const + 0.0 * x
-        if kind == "name":
-            if value == "x":
-                return lambda x, y: x
-            if value == "y":
-                return lambda x, y: y
-            if value == "exp":
-                expect_op("(")
-                inner = parse_expr()
-                expect_op(")")
-                return (lambda a: (lambda x, y: np.exp(a(x, y))))(inner)
-            raise ExpressionError(
-                f"unknown name {value!r}; only x, y, and exp(...) are available", pos
-            )
-        if kind == "op" and value == "(":
-            inner = parse_expr()
-            expect_op(")")
-            return inner
-        raise ExpressionError(f"unexpected token {value!r}", pos)
-
-    if not tokens:
+    outside = _OUTSIDE.search(text)
+    if outside:
+        raise ExpressionError(f"unexpected character {outside.group()!r}", outside.start())
+    body = text.lstrip()  # Python reads leading blanks as an indent
+    shift = len(text) - len(body)
+    if not body:
         raise ExpressionError("empty expression", 0)
-    fn = parse_expr()
-    if idx != len(tokens):
-        raise ExpressionError(f"trailing input {tokens[idx][1]!r}", tokens[idx][2])
+    try:
+        with warnings.catch_warnings():  # a warning such as "1if" becomes the SyntaxError
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = ast.parse(body, mode="eval")
+        fn = _compile(tree.body, body, shift, 1)
+    except SyntaxError as exc:  # no offset: Python met the fault at the end of the text
+        at = shift + exc.offset - 1 if exc.offset else len(text)
+        truncated = not exc.offset and exc.msg == "invalid syntax"
+        raise ExpressionError("incomplete expression" if truncated else exc.msg, at) from None
+    except (RecursionError, MemoryError):  # Python's parser gave up long before MAX_DEPTH
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH}", 0) from None
 
     def evaluate(x, y):
-        out = fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.asarray(out, dtype=float)
+        return np.asarray(fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float)), dtype=float)
 
     evaluate.text = text  # type: ignore[attr-defined]
     return evaluate
+
+
+def _compile(node: ast.expr, body: str, shift: int, depth: int):
+    """The callable of ``node``; it evaluates the children first, left to right."""
+    pos = shift + node.col_offset
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH}", pos)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        a = _compile(node.left, body, shift, depth + 1)
+        b = _compile(node.right, body, shift, depth + 1)
+        return lambda x, y: op(a(x, y), b(x, y))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        a = _compile(node.operand, body, shift, depth + 1)
+        return a if isinstance(node.op, ast.UAdd) else (lambda x, y: -a(x, y))
+    call = isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp"
+    if call and len(node.args) == 1 and not node.keywords:
+        a = _compile(node.args[0], body, shift, depth + 1)
+        return lambda x, y: np.exp(a(x, y))
+    if isinstance(node, ast.Name) and node.id in ("x", "y"):
+        return (lambda x, y: x) if node.id == "x" else (lambda x, y: y)
+    source = ast.get_source_segment(body, node)
+    if not (isinstance(node, ast.Constant) and _DECIMAL.fullmatch(source)):
+        raise ExpressionError(f"{source!r} is not allowed; use {_GRAMMAR}", pos)
+    const = float(source)
+    # callers broadcast scalars themselves; x*0 keeps the shape honest
+    return lambda x, y: const + 0.0 * x

@@ -307,29 +307,21 @@ def solve_dirichlet(
 
 
 def solve_robin(
-    mesh: Mesh,
-    data: ProblemData,
-    opts: SolverOptions = DEFAULT_OPTIONS,
-    boundary_mass: str = "consistent",
+    mesh: Mesh, data: ProblemData, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> SolveReport:
     """Linear exchange law ``-du/dn = alpha (u - b)`` on G3.
 
-    The exchange term uses the consistent edge mass by default, which keeps
-    the benchmark with an affine solution exact; ``boundary_mass="lumped"``
-    switches to the nodal weights used by the multivalued solver.  The solve
-    runs on the G3 trace, ``(S + alpha M_gg) u_g = f_red + alpha (M b)_g``,
-    with the mesh's shared Schur complement ``S``, so no matrix is factored
-    per ``alpha``; one bulk back-solve then recovers the field.  The
+    The exchange term uses the consistent edge mass, which keeps the
+    benchmark with an affine solution exact.  (The lumped form of this law
+    is ``solve_hvi`` with the quadratic potential.)  The solve runs on the
+    G3 trace, ``(S + alpha M_gg) u_g = f_red + alpha (M b)_g``, with the
+    mesh's shared Schur complement ``S``, so no matrix is factored per
+    ``alpha``; one bulk back-solve then recovers the field.  The
     certificate is the free-row residual of the full system.
     """
-    if boundary_mass not in ("consistent", "lumped"):
-        raise ValueError(f"unknown boundary mass {boundary_mass!r}")
     ops = mesh_operators(mesh)
     alpha, g3 = data.alpha, ops.gamma3
-    if boundary_mass == "consistent":
-        exchange = gamma3_mass(mesh)
-    else:
-        exchange = sp.diags(ops.gamma3_weights).tocsr()
+    exchange = gamma3_mass(mesh)
     rhs = assemble_load(mesh, data) + alpha * (exchange @ data.b_nodal(mesh))
 
     reduced = _trace_reduction(ops) + alpha * exchange[g3][:, g3].toarray()

@@ -320,7 +320,7 @@ class TestMeshOperators:
         solve_hvi(m, data, make_potential("exp_quadratic", b=1.0))
         solve_hvi(m, data, make_potential("abs", b=1.0))  # the vi kind
         solve_dirichlet(m, data)
-        solve_robin(m, data, boundary_mass="lumped")
+        solve_hvi(m, data, make_potential("quadratic", b=1.0))  # robin_lumped
         trace_constant(m)
         assert builds == []
         solve_robin(m, data)

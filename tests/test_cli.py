@@ -1,10 +1,13 @@
 import ctypes
 import json
+import re
 import sys
 
 import numpy as np
 import pytest
 
+import hviheat.cli
+import hviheat.potentials
 from hviheat.assembly import ProblemData
 from hviheat.cli import (
     EXPERIMENTS,
@@ -15,7 +18,7 @@ from hviheat.cli import (
     parse_config,
     run,
 )
-from hviheat.expressions import ExpressionError, compile_expression
+from hviheat.expressions import MAX_DEPTH, ExpressionError, compile_expression
 from hviheat.mesh import BoundaryTag, Mesh, generate_unit_square_mesh, save_mesh
 from hviheat.potentials import make_potential
 from hviheat.verification import (
@@ -26,6 +29,7 @@ from hviheat.verification import (
     verify_linear_theorem,
     verify_monotonicity,
 )
+from oracles import robin_reference
 
 MINIMAL = """
 command = solve
@@ -66,6 +70,82 @@ class TestExpressions:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ExpressionError):
             compile_expression(bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "x.real", "x[0]", "lambda x: x", "__import__('os')", "__import__(x)", "x < 1",
+            "x if y else 1", "exp(x, y)", "exp(x=1)", "exp()", "exp(*x)", "exp(**x)", "exp",
+            "exp(x)(y)", "1j", "True", "None", "...", "0x10", "0o7", "0b1", "1_0", "007",
+            "x // 2", "x % 2", "not x", "x and y", "x, y", "()", "x # 2", "x\n+1", "\u00b2",
+            "\U0001d465",  # mathematical italic x, which Python would read as x
+        ],
+    )
+    def test_rejects_everything_outside_the_whitelist(self, bad):
+        with pytest.raises(ExpressionError) as info:
+            compile_expression(bad)
+        assert 0 <= info.value.position <= len(bad)
+
+    @pytest.mark.parametrize(
+        "text,position,message",
+        [
+            ("x +", 3, "incomplete expression"),
+            ("  (x", 2, "'(' was never closed"),
+            ("x @ y", 2, "unexpected character '@'"),
+            ("2 * 0x10", 4, "'0x10' is not allowed"),
+            ("1 + sin(x)", 4, "'sin(x)' is not allowed"),
+            ("-" * (MAX_DEPTH + 1) + "x", MAX_DEPTH, f"nested deeper than {MAX_DEPTH}"),
+        ],
+    )
+    def test_error_positions(self, text, position, message):
+        with pytest.raises(ExpressionError, match=re.escape(message)) as info:
+            compile_expression(text)
+        assert info.value.position == position
+
+    def test_values_are_the_numpy_operations_in_order(self):
+        # a constant is c + 0*x, operands are evaluated left to right: the
+        # values match the numpy expression bit for bit
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(-2.0, 2.0, (2, 500))
+        f = compile_expression("-1.03 - 0.51*x*y + exp(-x)/(2 + y**2)**-0.5")
+        c = [value + 0.0 * x for value in (1.03, 0.51, 2.0, 0.5)]
+        expected = -c[0] - c[1] * x * y + np.exp(-x) / (c[2] + y ** (c[2] + 0.0 * x)) ** -c[3]
+        assert f(x, y).tobytes() == expected.tobytes()
+        assert compile_expression("2")(x, y).shape == x.shape
+        assert compile_expression(" x*y ").text == " x*y "
+
+    def test_size_limit_on_both_sides(self):
+        inside = [
+            "+".join(["x"] * MAX_DEPTH),  # 200 terms
+            "-" * (MAX_DEPTH - 1) + "x",
+            "(" * 50 + "x" + ")" * 50,
+            "1" + "+(1" * 50 + ")" * 50,
+            "+".join(["0.5*x*y"] * 100),
+        ]
+        assert [compile_expression(t)(1.0, 1.0) for t in inside] == [200.0, -1.0, 1.0, 51.0, 50.0]
+        outside = [
+            "+".join(["x"] * (MAX_DEPTH + 1)),
+            "-" * MAX_DEPTH + "x",
+            "-" * 1000 + "x",
+            "(" * 300 + "x" + ")" * 300,  # Python's own limit is 200 parentheses
+            "+".join(["x"] * 1500),
+            "-" * 20000 + "x",  # Python's parser gives up
+            "x" + "**x" * 5000,
+        ]
+        for text in outside:
+            with pytest.raises(ExpressionError):
+                compile_expression(text)
+
+    def test_no_input_raises_anything_else(self):
+        rng = np.random.default_rng(11)
+        pieces = list("xy0123456789.eE+-*/()  ,_j") + ["exp(", "**", "1.5", "if", "not", "//"]
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces, rng.integers(0, 12)))
+            try:
+                with np.errstate(all="ignore"):
+                    compile_expression(text)(np.array([0.5, -1.0]), np.array([2.0, 0.0]))
+            except ExpressionError:
+                pass
 
 
 class TestParseConfig:
@@ -270,7 +350,7 @@ class TestParseConfig:
             "duplicate key mesh.n (lines 2 and 5)",
             "line 11: expected 'section.key = value'",
             "mesh.n and mesh.file are mutually exclusive",
-            "line 6: problem.g: unexpected token None (at position 3)",
+            "line 6: problem.g: incomplete expression (at position 3)",
             "line 8: potential.params.k1 is not a parameter of quadratic",
             "line 10: solver.max_iters must be at least 0",
             "line 9: experiment.rel_target is not read by solve",
@@ -569,6 +649,54 @@ class TestMain:
             f"interior_residual_max {float(cert['interior_residual_max']):.3e}, "
             f"gamma3_inclusion_max {float(cert['gamma3_inclusion_max']):.3e}"
         )
+
+    @pytest.mark.parametrize(
+        "g", ["-" * 1000 + "1", "(" * 300 + "1" + ")" * 300, "0x10", "__import__('os')"]
+    )
+    def test_rejected_expression_exits_2_without_a_traceback(self, tmp_path, capsys, g):
+        config = tmp_path / "solve.cfg"
+        config.write_text(MINIMAL + f"problem.g = {g}\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith("line 7: problem.g: ")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_vi_solve_builds_one_potential(self, tmp_path, monkeypatch):
+        built, grids = [], []
+        make, grid = hviheat.potentials.make_potential, hviheat.potentials.default_grid
+        monkeypatch.setattr(
+            hviheat.cli, "make_potential", lambda *a, **k: built.append(a) or make(*a, **k)
+        )
+        monkeypatch.setattr(
+            hviheat.potentials, "default_grid", lambda p: grids.append(p) or grid(p)
+        )
+        config = tmp_path / "solve.cfg"
+        config.write_text(
+            MINIMAL.replace("quadratic", "abs") + "problem.kind = vi\nproblem.g = -1\n"
+        )
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1 and len(grids) == 1
+
+    def test_robin_lumped_is_the_quadratic_law(self, tmp_path):
+        config = tmp_path / "solve.cfg"
+        config.write_text(
+            "command = solve\nmesh.n = 8\nproblem.kind = robin_lumped\n"
+            "problem.g = -1.03 - 0.51*x*y\nproblem.q = 0.49\n"
+            "problem.b = 1.04\nproblem.alpha = 19.7\n"
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+        rows = (out / "certificate.csv").read_text().splitlines()[1:]
+        cert = dict(line.split(",", 1) for line in rows)
+        assert cert["iterations"] == "0" and cert["converged"] == "true"
+        assert float(cert["gamma3_inclusion_max"]) <= 1e-12
+        m = generate_unit_square_mesh(8)
+        g = lambda x, y: -1.03 - 0.51 * x * y  # noqa: E731
+        data = ProblemData.make(m, g=g, q=0.49, b=1.04, alpha=19.7)
+        u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1)[:, 3]
+        assert np.max(np.abs(u - robin_reference(m, data, "lumped"))) <= 1e-14
 
     def test_config_parse_error_exit_2(self, tmp_path):
         config = tmp_path / "bad.cfg"
