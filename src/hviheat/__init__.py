@@ -25,7 +25,6 @@ from .assembly import (
     v_norm,
 )
 from .potentials import (
-    Interval,
     Potential,
     check_growth,
     check_scaled_sign_condition,

@@ -170,14 +170,6 @@ class DofMap:
     def free_indices(self) -> np.ndarray:
         return np.nonzero(~self.fixed)[0]
 
-    @property
-    def fixed_indices(self) -> np.ndarray:
-        return np.nonzero(self.fixed)[0]
-
-    @property
-    def num_free(self) -> int:
-        return int(np.count_nonzero(~self.fixed))
-
 
 def build_dof_map(mesh: Mesh, space: str = "V0") -> DofMap:
     """Classify vertices for the space ``V0`` (zero on G1) or ``K0`` (zero on G1 and G3)."""

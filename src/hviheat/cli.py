@@ -14,7 +14,6 @@ import argparse
 import difflib
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -554,39 +553,40 @@ def describe_potential(
     lines.append("")
     lines.append(f"{'r':>12}  {'j(r)':>14}  {'dj lo':>14}  {'dj hi':>14}  {'j0(r; b-r)':>14}")
     for r in grid:
-        iv = p.subdiff(r)
+        lo, hi = p.subdiff(r)
         lines.append(
-            f"{r:>12.6g}  {p.value(r):>14.6g}  {iv.lo:>14.6g}  {iv.hi:>14.6g}  "
+            f"{r:>12.6g}  {p.value(r):>14.6g}  {lo:>14.6g}  {hi:>14.6g}  "
             f"{p.j0(r, b - r):>14.6g}"
         )
     lines.append("")
 
     growth = check_growth(p)
-    if growth.used_c0 is None:
-        lines.append(
-            f"growth bound: fail ({growth.details}); grid fit c0 = {growth.fitted_c0:.6g}, "
-            f"c1 = {growth.fitted_c1:.6g}"
-        )
+    if growth.passed:
+        c0, c1 = growth.constants
+        lines.append(f"growth bound |dj(r)| <= {c0:.6g} + {c1:.6g}|r|: pass")
     else:
         lines.append(
-            f"growth bound |dj(r)| <= {growth.used_c0:.6g} + {growth.used_c1:.6g}|r|: "
-            f"{'pass' if growth.passed else 'fail'} (worst margin {growth.worst_margin:.3e})"
+            f"growth bound: fail (no c0 + c1|r| bounds |dj(r)| toward r = {growth.worst_point[0]:g})"
         )
     sign = check_sign_condition(p)
     lines.append(
         f"sign condition j0(r; b-r) <= 0: {'pass' if sign.passed else 'fail'} "
-        f"(worst {sign.worst_margin:.3e} at r = {sign.worst_point[0]:.6g})"
+        f"(largest slope toward b {sign.worst_margin:.3e} at r = {sign.worst_point[0]:.6g})"
     )
     strict = check_strict_condition(p)
     lines.append(
         f"strict sign condition (zero only at r = b): {'pass' if strict.passed else 'fail'} "
-        f"(worst off-anchor value {strict.worst_margin:.3e})"
+        f"(supremum of the off-anchor slope toward b {strict.worst_margin:.3e} "
+        f"as r -> {strict.worst_point[0]:.6g})"
     )
     lines.append(f"relaxed monotonicity constant: {p.m_j:.9g}")
     scaled = check_scaled_sign_condition(p)
+    s, r, c = scaled.worst_point
     lines.append(
         f"scaled sign condition (coefficient monotonicity gate): "
-        f"{'pass' if scaled.passed else 'fail'} (worst {scaled.worst_margin:.3e})"
+        f"{'pass' if scaled.passed else 'fail'} "
+        f"(largest c dj(s) - dj(r) {scaled.worst_margin:.3e} "
+        f"at s = {s:.6g}, r = {r:.6g}, c = {c:g})"
     )
     return "\n".join(lines) + "\n", growth.passed and sign.passed
 
@@ -617,6 +617,9 @@ def run(cfg: RunConfig, out_dir: str | Path) -> int:
     except (PreconditionError, ValueError, RuntimeError) as exc:
         _write_error(out, exc, status=1)
         return 1
+    except MemoryError as exc:  # numpy raises a private subclass; report the public name
+        _write_error(out, MemoryError(f"not enough memory for this run: {exc}"), status=1)
+        return 1
 
 
 def _write_error(out: Path, exc: Exception, status: int) -> None:
@@ -631,14 +634,14 @@ def _write_error(out: Path, exc: Exception, status: int) -> None:
 
 
 def _one_blas_thread() -> None:
-    """Set numpy's and scipy's bundled OpenBLAS to one thread, unless the user chose a count.
+    """Set numpy's and scipy's bundled OpenBLAS to one thread, whatever the environment says.
 
-    On a 2-core machine the small dense kernels of a solve ran 2-3 times
-    slower in the median with OpenBLAS's default two threads.  A library or
-    symbol that is not there (another BLAS, another build) is left alone.
+    The dense kernels' rounding depends on the thread count, so one count
+    keeps the output files byte-deterministic; on a 2-core machine the
+    small dense kernels of a solve also ran 2-3 times slower in the median
+    with OpenBLAS's default two threads.  A library or symbol that is not
+    there (another BLAS, another build) is left alone.
     """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
     import ctypes
 
     for module, symbol in (

@@ -33,10 +33,11 @@ Extras without hypothesis guarantees: ``tresca`` (``|r|``, ``abs`` with its
 kink at 0), ``quintic_ramp`` (one-sided quintic), ``power_ramp`` (one-sided
 9/4 power).
 
-The ``check_*`` functions probe the standing hypotheses on finite sample
-grids; the conditions are universally quantified over the real line, so a
-dense grid augmented with every breakpoint (and breakpoints shifted by a tiny
-offset) is used to cover the piecewise structure.
+The ``check_*`` functions decide the standing hypotheses on the whole real
+line from ``Potential.piece_ends``.  Every built-in has one curvature sign
+on each smooth piece, so each piece's derivative is monotone and its
+extremes are its end values (limits at an infinite end); each verdict is a
+finite comparison of those values, with no sample and no tolerance.
 """
 
 from __future__ import annotations
@@ -48,10 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Interval",
     "Potential",
     "CheckReport",
-    "GrowthReport",
     "ExpQuadraticPotential",
     "MinQuadraticsPotential",
     "QuadraticPotential",
@@ -63,25 +62,11 @@ __all__ = [
     "UnknownPotentialError",
     "make_potential",
     "potential_ids",
-    "default_grid",
-    "pair_grid",
     "check_growth",
     "check_sign_condition",
     "check_strict_condition",
     "check_scaled_sign_condition",
 ]
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval; the scalar Clarke subdifferential is one of these."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"interval bounds out of order: [{self.lo}, {self.hi}]")
 
 
 def _root_from_above(h, dh, x: float) -> float:
@@ -113,13 +98,11 @@ class Potential:
     between the left-hand and right-hand piece derivatives, a single point
     off the kinks.  ``slope`` is the curvature of the piece holding ``r``
     and 0 on a kink; the solver's Newton step uses it and it never affects
-    the subdifferential.  ``m_j`` and ``convex`` follow from the table too.
-    ``prox`` is a closed form in each class.
+    the subdifferential.  ``piece_ends``, ``m_j`` and ``convex`` follow from
+    the table too.  ``prox`` is a closed form in each class.
     """
 
     id: str = "custom"
-    c0: float | None = None  # growth bound |dj(r)| <= c0 + c1 |r|
-    c1: float | None = None
 
     def __init__(self, b: float = 0.0):
         self.b = float(b)
@@ -161,16 +144,30 @@ class Potential:
             lo[on], hi[on] = np.minimum(slopes, lo[on]), np.maximum(slopes, hi[on])
         return lo, hi
 
+    def piece_ends(self, cuts: tuple[float, ...] = ()) -> list[tuple[float, ...]]:
+        """Each smooth piece, split at the ``cuts`` inside it, as ``(x0, x1, d0, d1, k0, k1)``.
+
+        ``x0 < x1`` are the ends, left to right, and ``d`` and ``k`` the
+        piece's derivative and curvature there; an infinite end gives the
+        limits.  The first row starts at ``-inf`` and the last ends at ``inf``.
+        """
+        edges = (-math.inf, *self.breakpoints(), math.inf)
+        rows = []
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            xs = (lo, *sorted(c for c in cuts if lo < c < hi), hi)
+            for x0, x1 in zip(xs, xs[1:]):
+                (_, d0, k0), (_, d1, k1) = self._piece(i, x0), self._piece(i, x1)
+                rows.append((x0, x1, float(d0), float(d1), float(k0), float(k1)))
+        return rows
+
     def concave_kinks(self) -> tuple[float, ...]:
         """The kinks where the left-hand derivative exceeds the right-hand one.
 
         There the subgradient jumps down, so no relaxed-monotonicity
         constant is finite.
         """
-        kinks = self.breakpoints()
-        return tuple(
-            r for i, r in enumerate(kinks) if self._piece(i, r)[1] > self._piece(i + 1, r)[1]
-        )
+        rows = self.piece_ends()
+        return tuple(left[1] for left, right in zip(rows, rows[1:]) if left[3] > right[2])
 
     @functools.cached_property
     def m_j(self) -> float:
@@ -178,18 +175,13 @@ class Potential:
 
         For a piecewise-C2 ``j`` that sum is convex exactly when no kink is
         concave and no piece curves below ``-m``.  So the constant is ``inf``
-        with a concave kink, and otherwise the largest negative curvature on
-        ``default_grid``, each kink taken on both of its pieces.  The sample
-        is exact when each piece's curvature is constant or extreme at the
-        piece's ends, as for every built-in.  It is derived once per instance.
+        with a concave kink, and otherwise the most negative curvature at a
+        piece end, which is exact when each piece's curvature is extreme at
+        its ends, as for every built-in.  It is derived once per instance.
         """
         if self.concave_kinks():
             return math.inf
-        kinks = np.array(self.breakpoints())
-        grid = default_grid(self)
-        r = np.concatenate([grid, kinks])
-        piece = np.concatenate([kinks.searchsorted(grid, side="right"), np.arange(len(kinks))])
-        return max(0.0, -float(self._on_pieces(piece, r, 2).min()))
+        return max(0.0, -min(k for row in self.piece_ends() for k in row[4:]))
 
     @property
     def convex(self) -> bool:
@@ -206,9 +198,9 @@ class Potential:
     def value(self, r: float) -> float:
         return float(self.value_array(np.asarray([r], dtype=float))[0])
 
-    def subdiff(self, r: float) -> Interval:
+    def subdiff(self, r: float) -> tuple[float, float]:
         lo, hi = self.subdiff_bounds(np.asarray([r], dtype=float))
-        return Interval(float(lo[0]), float(hi[0]))
+        return float(lo[0]), float(hi[0])
 
     def j0(self, r, s):
         """Generalized directional derivative via the max formula."""
@@ -246,11 +238,6 @@ class ExpQuadraticPotential(Potential):
     """
 
     id = "exp_quadratic"
-
-    def __init__(self, b: float = 0.0):
-        super().__init__(b)
-        self.c0 = 1.0 + 2.0 * abs(self.b)
-        self.c1 = 2.0
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b,)
@@ -299,8 +286,6 @@ class MinQuadraticsPotential(Potential):
             raise ValueError("both parabolas must be strictly convex (k1, k2 > 0)")
         self.k1, self.k2 = float(k1), float(k2)
         self.off1, self.off2 = float(c1), float(c2)
-        self.c0 = max(self.k1, self.k2) * abs(self.b)
-        self.c1 = max(self.k1, self.k2)
         # the flatter parabola (the lower one, on equal curvature) wins far out
         self._outer, self._inner = sorted([(self.k1, self.off1), (self.k2, self.off2)])
         self._rho = None
@@ -336,11 +321,6 @@ class QuadraticPotential(Potential):
 
     id = "quadratic"
 
-    def __init__(self, b: float = 0.0):
-        super().__init__(b)
-        self.c0 = abs(self.b)
-        self.c1 = 1.0
-
     def _piece(self, i: int, r):
         d = r - self.b
         return 0.5 * d**2, d, 1.0
@@ -364,8 +344,6 @@ class TruncatedQuadraticPotential(Potential):
         if not (m1 <= -r0 < 0.0 < r0 <= m2):
             raise ValueError(f"require m1 <= -r0 < 0 < r0 <= m2, got m1={m1}, m2={m2}, r0={r0}")
         self.m1, self.m2, self.r0 = float(m1), float(m2), float(r0)
-        self.c0 = max(abs(self.m1), self.m2)
-        self.c1 = 0.0
 
     def params(self) -> dict[str, float]:
         return {"m1": self.m1, "m2": self.m2, "r0": self.r0}
@@ -397,8 +375,6 @@ class AbsPotential(Potential):
     """``|r - b|``: convex kink at the anchor with subdifferential [-1, 1]."""
 
     id = "abs"
-    c0 = 1.0
-    c1 = 0.0
 
     def breakpoints(self) -> tuple[float, ...]:
         return (self.b,)
@@ -523,160 +499,125 @@ def make_potential(pid: str, b: float = 0.0, **params: float) -> Potential:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a sampled hypothesis check.
+    """Exact verdict of one hypothesis on ``j`` over the real line.
 
-    ``worst_margin`` is the largest violation of the asserted inequality over
-    the grid (nonpositive when satisfied), attained at ``worst_point``.
+    ``worst_margin`` is the supremum of the quantity the hypothesis bounds
+    above by 0, reached or approached at ``worst_point``; an infinite
+    coordinate is a limit.  ``constants`` holds the growth bound's derived
+    ``(c0, c1)`` and is empty for the other checks.
     """
 
     name: str
     passed: bool
     worst_margin: float
     worst_point: tuple[float, ...]
-    details: str = ""
+    constants: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Growth-condition verdict plus grid-fitted constants."""
+def check_growth(p: Potential) -> CheckReport:
+    """The growth bound ``|dj(r)| <= c0 + c1 |r|``, with constants from the piece ends.
 
-    passed: bool
-    worst_margin: float
-    worst_r: float
-    used_c0: float | None
-    used_c1: float | None
-    fitted_c0: float
-    fitted_c1: float
-    details: str = ""
-
-
-def default_grid(p: Potential) -> np.ndarray:
-    """2001 points on ``b -+ 10``, plus each breakpoint and its copies ``1e-9`` either side."""
-    base = np.linspace(p.b - 10.0, p.b + 10.0, 2001)
-    extra = []
-    for bp in p.breakpoints():
-        extra.extend((bp, bp - 1e-9, bp + 1e-9))
-    if extra:
-        base = np.concatenate([base, np.asarray(extra)])
-    return np.unique(base)
-
-
-def pair_grid(p: Potential) -> np.ndarray:
-    """321 points on ``b -+ 10`` for quadratic-cost pair scans, breakpoints included."""
-    base = np.linspace(p.b - 10.0, p.b + 10.0, 321)
-    extra = []
-    for bp in p.breakpoints():
-        for off in (0.0, -1e-9, 1e-9, -1e-4, 1e-4, -1e-2, 1e-2):
-            extra.append(bp + off)
-    if extra:
-        base = np.concatenate([base, np.asarray(extra)])
-    return np.unique(base)
-
-
-def check_growth(p: Potential) -> GrowthReport:
-    """Check ``|dj(r)| <= c0 + c1 |r|`` on ``default_grid`` and fit tight constants.
-
-    Uses the potential's declared constants.  A potential without declared
-    constants (superlinear growth) fails, with grid-fitted constants reported
-    for reference.
+    ``c1`` is the larger curvature limit at ``-inf`` and ``inf``: ``inf``,
+    and a failed bound, when a piece grows superlinearly.  ``c0`` is the
+    largest ``|dj(r)| - c1 |r|`` over the piece ends, with the pieces split
+    at 0.  An infinite end adds its limit of ``|dj|`` when ``c1 = 0``, and
+    nothing otherwise: a piece that grows like ``c1 |r|`` has constant
+    curvature, as every built-in's does, so it peaks at its finite end.
+    The constants are exact when ``|dj| - c1 |r|`` peaks at a piece end on
+    every piece, which a test samples for each built-in.
     """
-    grid = default_grid(p)
-    lo, hi = p.subdiff_bounds(grid)
-    mag = np.maximum(np.abs(lo), np.abs(hi))
-    absr = np.abs(grid)
-    fitted_c1 = max(0.0, float(np.polyfit(absr, mag, 1)[0]))
-    fitted_c0 = float(np.max(mag - fitted_c1 * absr))
+    rows = p.piece_ends((0.0,))
+    c1 = max(abs(rows[0][4]), abs(rows[-1][5]))
+    if math.isinf(c1):
+        at = -math.inf if math.isinf(rows[0][4]) else math.inf
+        return CheckReport("growth", False, math.inf, (at,), (math.inf, math.inf))
+    c0, at = -math.inf, math.nan
+    for x0, x1, d0, d1, _, _ in rows:
+        for x, d in ((x0, d0), (x1, d1)):
+            if math.isfinite(x):
+                excess = abs(d) - c1 * abs(x)
+            elif c1 == 0.0:
+                excess = abs(d)
+            else:
+                continue
+            if excess > c0:
+                c0, at = excess, x
+    passed = math.isfinite(c0)
+    return CheckReport("growth", passed, 0.0 if passed else math.inf, (at,), (c0 + 0.0, c1))
 
-    if p.c0 is None or p.c1 is None:
-        return GrowthReport(
-            passed=False,
-            worst_margin=float("inf"),
-            worst_r=float(grid[int(np.argmax(mag))]),
-            used_c0=None,
-            used_c1=None,
-            fitted_c0=fitted_c0,
-            fitted_c1=fitted_c1,
-            details="no linear growth constants declared",
-        )
 
-    margins = mag - (p.c0 + p.c1 * absr)
-    worst = int(np.argmax(margins))
-    scale = 1.0 + abs(p.c0) + abs(p.c1) * float(absr.max())
-    return GrowthReport(
-        passed=bool(margins[worst] <= 1e-12 * scale),
-        worst_margin=float(margins[worst]),
-        worst_r=float(grid[worst]),
-        used_c0=float(p.c0),
-        used_c1=float(p.c1),
-        fitted_c0=fitted_c0,
-        fitted_c1=fitted_c1,
-    )
+def _slopes_toward_anchor(p: Potential) -> list[tuple[tuple[float, float], ...]]:
+    """Each piece, split at ``b``, as its two ends ``(r, slope of j toward b)``.
+
+    That slope is ``j0(r; b-r) / |b-r|``: ``dj`` left of ``b`` and ``-dj``
+    right of it, monotone on each piece.
+    """
+    rows = []
+    for x0, x1, d0, d1, _, _ in p.piece_ends((p.b,)):
+        side = 1.0 if x1 <= p.b else -1.0
+        rows.append(((x0, side * d0), (x1, side * d1)))
+    return rows
+
+
+def _steepest(rows) -> tuple[float, float]:
+    """The piece end with the largest slope toward ``b``, the leftmost on a tie."""
+    r, slope = max((end for row in rows for end in row), key=lambda end: end[1])
+    return r, slope + 0.0
 
 
 def check_sign_condition(p: Potential) -> CheckReport:
-    """Check the anchor sign condition ``j0(r; b-r) <= 0`` on ``default_grid``, down to 1e-14."""
-    grid = default_grid(p)
-    vals = p.j0(grid, p.b - grid)
-    worst = int(np.argmax(vals))
-    return CheckReport(
-        name="sign_condition",
-        passed=bool(vals[worst] <= 1e-14),
-        worst_margin=float(vals[worst]),
-        worst_point=(float(grid[worst]),),
-    )
+    """The anchor sign condition ``j0(r; b-r) <= 0``: no slope of ``j`` toward ``b`` is positive."""
+    r, worst = _steepest(_slopes_toward_anchor(p))
+    return CheckReport("sign_condition", worst <= 0.0, worst, (r,))
 
 
 def check_strict_condition(p: Potential) -> CheckReport:
-    """Check that ``j0(r; b-r)`` vanishes only at the anchor itself.
+    """``j0(r; b-r) < 0`` at every ``r != b``: the slope toward ``b`` is negative off the anchor.
 
-    Asserts strict negativity at every point of ``default_grid`` different
-    from ``b``; the anchor point is excluded by construction.
+    A piece end that is a point other than ``b`` needs a negative slope.  A
+    limit of 0, at ``b`` or at an infinite end, does not fail, since the
+    monotone slope is negative inside when it is negative at the other end;
+    a slope of 0 at both ends is 0 on the whole piece, which fails.
     """
-    grid = default_grid(p)
-    pts = grid[grid != p.b]
-    vals = p.j0(pts, p.b - pts)
-    worst = int(np.argmax(vals))
-    return CheckReport(
-        name="strict_condition",
-        passed=bool(vals[worst] < 0.0),
-        worst_margin=float(vals[worst]),
-        worst_point=(float(pts[worst]),),
-    )
+    rows = _slopes_toward_anchor(p)
+
+    def negative(r: float, slope: float) -> bool:
+        return slope < 0.0 or (slope == 0.0 and (math.isinf(r) or r == p.b))
+
+    passed = all(negative(*a) and negative(*z) and (a[1], z[1]) != (0.0, 0.0) for a, z in rows)
+    r, worst = _steepest(rows)
+    return CheckReport("strict_condition", passed, worst, (r,))
 
 
 def check_scaled_sign_condition(p: Potential) -> CheckReport:
     """Pairwise sign condition with scaling factors, gating coefficient monotonicity.
 
-    Checks ``j0(r; -(r-s)+) + c * j0(s; (r-s)+) <= 0``, down to 1e-10, on
-    ``pair_grid`` for the scales ``c`` = 1, 2, 10 and 100.  The ``c = 1``
-    instance is checked on all grid pairs (it is the convexity-type test);
-    the ``c > 1`` instances are checked on pairs with both points at or below
-    the anchor, the range where solutions of the comparison theory live,
-    since any potential whose subgradient is positive somewhere violates the
-    unrestricted condition for large ``c``.
+    ``j0(r; -(r-s)) + c j0(s; r-s) <= 0`` for ``s < r`` says ``c hi(s) <=
+    lo(r)``, with ``[lo, hi] = dj``.  The scale ``c = 1`` asks it on the
+    whole line (a monotone subdifferential); the scales 2, 10 and 100 ask it
+    for ``s < r <= b``, the range where solutions of the comparison theory
+    live, since any potential whose subgradient is positive somewhere
+    violates the unrestricted condition for large ``c``.  The margin is the
+    supremum of ``c hi(s) - lo(r)``, found piece by piece from the left: the
+    running maximum of ``dj`` left of a piece, times ``c``, against the
+    piece's least ``dj``; and within a piece ``(c - 1) dj`` at its right end
+    where ``dj`` increases, or ``c dj(x0) - dj(x1)`` where it decreases.
+    ``worst_point`` is ``(s, r, c)``.
     """
-    grid = pair_grid(p)
-    lo, hi = p.subdiff_bounds(grid)
-    r = grid[:, None]
-    s = grid[None, :]
-    t = r - s  # only t > 0 contributes
-    pos = t > 0.0
-    below = (r <= p.b) & (s <= p.b)
-
-    worst_margin = -np.inf
-    worst_point = (float(p.b), float(p.b), 1.0)
+    found = []
     for c in (1.0, 2.0, 10.0, 100.0):
-        # for t > 0: j0(r; -t) = -t*lo(r),  j0(s; t) = t*hi(s)
-        term = t * (c * hi[None, :] - lo[:, None])
-        domain = pos if c == 1.0 else (pos & below)
-        masked = np.where(domain, term, -np.inf)
-        idx = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[idx] > worst_margin:
-            worst_margin = float(masked[idx])
-            worst_point = (float(grid[idx[0]]), float(grid[idx[1]]), c)
-    return CheckReport(
-        name="scaled_sign_condition",
-        passed=bool(worst_margin <= 1e-10),
-        worst_margin=worst_margin,
-        worst_point=worst_point,
-    )
+        top = None  # the largest dj left of the current piece, and where
+        for x0, x1, d0, d1, _, _ in p.piece_ends((p.b,)):
+            if c > 1.0 and x0 >= p.b:  # right of b only r = b itself is in range
+                found.append((c * top[0] - d0, (top[1], x0, c)))
+                break
+            low = min((d0, x0), (d1, x1))
+            if top:
+                found.append((c * top[0] - low[0], (top[1], low[1], c)))
+            if d1 >= d0:
+                found.append(((c - 1.0) * d1 if c > 1.0 else 0.0, (x1, x1, c)))
+            else:
+                found.append((c * d0 - d1, (x0, x1, c)))
+            top = max(top or (d0, x0), (d0, x0), (d1, x1))
+    worst, at = max(found, key=lambda margin: margin[0])
+    return CheckReport("scaled_sign_condition", worst <= 0.0, worst + 0.0, at)

@@ -26,6 +26,10 @@ The superpotential tables are closed forms for the built-in laws, and
 ``prox_reference`` minimizes the scalar proximal energy by brute force.
 ``relaxed_monotonicity_reference`` samples the relaxed-monotonicity constant
 over pairs of grid points; the library derives it from the piece table.
+``sign_condition_reference``, ``strict_condition_reference``,
+``scaled_sign_condition_reference`` and ``growth_reference`` are the sampled
+hypothesis checks, on ``default_grid`` and ``pair_grid`` with their slacks,
+that the library replaced with exact verdicts from the piece ends.
 
 Each function returns ``(lo, hi, j0_toward_anchor)`` for a scalar ``r``: the
 subdifferential interval endpoints and the generalized directional
@@ -53,7 +57,6 @@ from hviheat.assembly import (
     assemble_stiffness,
 )
 from hviheat.mesh import BoundaryTag, Mesh, MeshFormatError
-from hviheat.potentials import pair_grid
 
 
 def _triangulation_boundary(mesh) -> set[tuple[int, int]]:
@@ -465,3 +468,54 @@ def relaxed_monotonicity_reference(p) -> float:
         ratio = (fwd + bwd) / d**2
     ratio[d == 0.0] = -np.inf
     return max(0.0, float(ratio.max()))
+
+
+def default_grid(p) -> np.ndarray:
+    """2001 points on ``b -+ 10``, plus each breakpoint and its copies ``1e-9`` either side."""
+    base = np.linspace(p.b - 10.0, p.b + 10.0, 2001)
+    extra = [bp + off for bp in p.breakpoints() for off in (0.0, -1e-9, 1e-9)]
+    return np.unique(np.concatenate([base, extra]))
+
+
+def pair_grid(p) -> np.ndarray:
+    """321 points on ``b -+ 10`` for quadratic-cost pair scans, breakpoints included."""
+    base = np.linspace(p.b - 10.0, p.b + 10.0, 321)
+    offsets = (0.0, -1e-9, 1e-9, -1e-4, 1e-4, -1e-2, 1e-2)
+    return np.unique(np.concatenate([base, [bp + off for bp in p.breakpoints() for off in offsets]]))
+
+
+def sign_condition_reference(p) -> bool:
+    """``j0(r; b-r) <= 1e-14`` at every point of ``default_grid``."""
+    grid = default_grid(p)
+    return bool(np.max(p.j0(grid, p.b - grid)) <= 1e-14)
+
+
+def strict_condition_reference(p) -> bool:
+    """``j0(r; b-r) < 0`` at every point of ``default_grid`` but ``b``."""
+    grid = default_grid(p)
+    grid = grid[grid != p.b]
+    return bool(np.max(p.j0(grid, p.b - grid)) < 0.0)
+
+
+def scaled_sign_condition_reference(p) -> bool:
+    """``(r-s) (c hi(s) - lo(r)) <= 1e-10`` over pairs ``s < r`` of ``pair_grid``.
+
+    The scale ``c = 1`` takes every pair; ``c`` = 2, 10 and 100 only pairs
+    with both points at or below the anchor.
+    """
+    grid = pair_grid(p)
+    lo, hi = p.subdiff_bounds(grid)
+    r, s = grid[:, None], grid[None, :]
+    pos, below = r > s, (r <= p.b) & (s <= p.b)
+    worst = -np.inf
+    for c in (1.0, 2.0, 10.0, 100.0):
+        term = (r - s) * (c * hi[None, :] - lo[:, None])
+        worst = max(worst, float(np.max(term, where=pos if c == 1.0 else pos & below, initial=-np.inf)))
+    return worst <= 1e-10
+
+
+def growth_reference(p, c1: float) -> float:
+    """Largest ``|dj(r)| - c1 |r|`` over ``default_grid``: the least ``c0`` the sample allows."""
+    grid = default_grid(p)
+    lo, hi = p.subdiff_bounds(grid)
+    return float(np.max(np.maximum(np.abs(lo), np.abs(hi)) - c1 * np.abs(grid)))

@@ -136,9 +136,9 @@ def test_dof_map_counts_n2():
     m = generate_unit_square_mesh(2)
     v0 = build_dof_map(m, "V0")
     k0 = build_dof_map(m, "K0")
-    assert len(v0.fixed_indices) == 3
-    assert len(k0.fixed_indices) == 6
-    assert v0.num_free + len(v0.fixed_indices) == m.num_vertices
+    # 9 vertices: G1 (x = 0) holds 3, and K0 also fixes the 3 on G3
+    assert len(v0.free_indices) == m.num_vertices - 3 == 6
+    assert len(k0.free_indices) == m.num_vertices - 6 == 3
     assert np.count_nonzero(v0.vertex_class == VertexClass.GAMMA3) == 3
 
 
@@ -252,6 +252,13 @@ class TestSmallnessGate:
         assert abs(gate.margin - (1.0 - alpha * expected)) <= 1e-10
         assert gate.verdict == "pass" and f"gamma_W^2={expected:.6g}, m_j=1" in gate.detail
 
+    @pytest.mark.parametrize("n", [2, 8, 16, 64, 128])
+    def test_trace_constant_is_one_on_the_structured_square(self, n):
+        # the extremal mode is u = x: its G3 trace is 1, its energy 1, and P1
+        # holds it exactly, so gamma_W^2 = 1; the value errs high by at most
+        # the rounding term n eps lambda_max
+        assert 1.0 <= trace_constant(generate_unit_square_mesh(n)) <= 1.0 + 1e-9
+
     @pytest.mark.parametrize("n", [4, 8, 16, 32])
     def test_boundary_of_the_condition_is_out_of_scope(self, n):
         # gamma_W^2 = 1 on the unit square, so alpha m_j = 1 has exact margin 0,
@@ -336,9 +343,8 @@ class TestMeshOperators:
         classes = build_dof_map(m, "V0").vertex_class
         assert np.array_equal(ops.bulk, np.nonzero(classes == VertexClass.FREE)[0])
         assert np.array_equal(ops.gamma3, np.nonzero(classes == VertexClass.GAMMA3)[0])
-        # the Dirichlet (K0) fixed set is everything outside the bulk
-        fixed = build_dof_map(m, "K0").fixed_indices
-        assert np.array_equal(np.setdiff1d(np.arange(m.num_vertices), ops.bulk), fixed)
+        # the Dirichlet (K0) free set is the bulk
+        assert np.array_equal(build_dof_map(m, "K0").free_indices, ops.bulk)
         # an equal but distinct mesh gets its own bundle
         assert mesh_operators(generate_unit_square_mesh(3)) is not ops
 

@@ -401,6 +401,22 @@ class TestRun:
         assert payload["status"] == 2
         assert "/no/such/mesh.txt" in payload["message"]
 
+    def test_out_of_memory_writes_error_json_with_status_1(self, tmp_path, monkeypatch, capsys):
+        # an oversized mesh.n passes parsing; the failed allocation must end
+        # as an error file, not a traceback (the allocation here is faked)
+        def refuse(n):
+            raise MemoryError(f"Unable to allocate 74.5 GiB for an array with shape ({n + 1}, {n + 1})")
+
+        monkeypatch.setattr(hviheat.cli, "generate_unit_square_mesh", refuse)
+        config = tmp_path / "big.cfg"
+        config.write_text(MINIMAL.replace("mesh.n = 8", "mesh.n = 100000"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 1
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "MemoryError" and payload["status"] == 1
+        assert payload["message"].startswith("not enough memory for this run: Unable to allocate")
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_mesh_file_roundtrip_solve(self, tmp_path):
         mesh_path = tmp_path / "square.mesh"
         mesh_path.write_text(save_mesh(generate_unit_square_mesh(4)))
@@ -664,20 +680,21 @@ class TestMain:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_vi_solve_builds_one_potential(self, tmp_path, monkeypatch):
-        built, grids = [], []
-        make, grid = hviheat.potentials.make_potential, hviheat.potentials.default_grid
+        built, tables = [], []
+        make, ends = hviheat.potentials.make_potential, hviheat.potentials.Potential.piece_ends
         monkeypatch.setattr(
             hviheat.cli, "make_potential", lambda *a, **k: built.append(a) or make(*a, **k)
         )
         monkeypatch.setattr(
-            hviheat.potentials, "default_grid", lambda p: grids.append(p) or grid(p)
+            hviheat.potentials.Potential, "piece_ends", lambda p, *a: tables.append(p) or ends(p, *a)
         )
         config = tmp_path / "solve.cfg"
         config.write_text(
             MINIMAL.replace("quadratic", "abs") + "problem.kind = vi\nproblem.g = -1\n"
         )
         assert main(["solve", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-        assert len(built) == 1 and len(grids) == 1
+        # m_j, read for convex, is derived from that one potential's piece table
+        assert len(built) == 1 and tables and all(p is tables[0] for p in tables)
 
     def test_robin_lumped_is_the_quadratic_law(self, tmp_path):
         config = tmp_path / "solve.cfg"
@@ -784,7 +801,7 @@ class TestMain:
         assert "either mesh.n or mesh.file is required" in (tmp_path / "c" / "error.json").read_text()
 
 
-def test_cli_sets_one_blas_thread_unless_a_variable_chooses_the_count(monkeypatch):
+def test_cli_sets_one_blas_thread_whatever_the_environment_says(monkeypatch):
     module = sys.modules.get("numpy._core._multiarray_umath")
     lib = ctypes.CDLL(module.__file__) if module else None
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
@@ -793,15 +810,13 @@ def test_cli_sets_one_blas_thread_unless_a_variable_chooses_the_count(monkeypatc
     get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
     before = get()
     try:
-        put(2)
-        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", None):
             monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
             monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-            monkeypatch.setenv(variable, "2")
+            if variable:
+                monkeypatch.setenv(variable, "2")
+            put(2)
             _one_blas_thread()
-            assert get() == 2
-        monkeypatch.delenv("OMP_NUM_THREADS")
-        _one_blas_thread()
-        assert get() == 1
+            assert get() == 1, variable
     finally:
         put(before)

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hviheat.potentials
 from hviheat.potentials import (
     AbsPotential,
     ExpQuadraticPotential,
-    Interval,
     MinQuadraticsPotential,
     Potential,
     PowerRampPotential,
@@ -20,19 +18,23 @@ from hviheat.potentials import (
     check_scaled_sign_condition,
     check_sign_condition,
     check_strict_condition,
-    default_grid,
     make_potential,
     potential_ids,
 )
 
 from oracles import (
     abs_table,
+    default_grid,
     exp_quadratic_table,
+    growth_reference,
     min_quadratics_table,
     prox_reference,
     quadratic_table,
     ramp_table,
     relaxed_monotonicity_reference,
+    scaled_sign_condition_reference,
+    sign_condition_reference,
+    strict_condition_reference,
     tresca_table,
     truncated_quadratic_table,
 )
@@ -41,28 +43,18 @@ ALL_IDS = potential_ids()
 CONVEX_IDS = ("quadratic", "truncated_quadratic", "abs", "tresca", "quintic_ramp", "power_ramp")
 
 
-def distance(iv: Interval, x: float) -> float:
-    """Distance from ``x`` to the closed interval ``iv``."""
-    return max(iv.lo - x, x - iv.hi, 0.0)
+def distance(iv: tuple[float, float], x: float) -> float:
+    """Distance from ``x`` to the closed interval ``iv = (lo, hi)``."""
+    return max(iv[0] - x, x - iv[1], 0.0)
 
 
 class FlatPotential(Potential):
     """j identically zero: fails the strict sign condition everywhere."""
 
     id = "flat"
-    c0 = 0.0
-    c1 = 0.0
 
     def _piece(self, i, r):
         return 0.0, 0.0, 0.0
-
-
-class BoundlessQuadratic(QuadraticPotential):
-    """``(r-b)^2 / 2`` declaring the growth bound ``|dj(r)| <= 0``, which it breaks."""
-
-    def __init__(self, b=0.0):
-        super().__init__(b)
-        self.c0 = self.c1 = 0.0
 
 
 class ConcaveQuadratic(Potential):
@@ -98,6 +90,29 @@ class SoftenedAbs(Potential):
         return self.b + np.sign(w) * max(abs(w) - tau, 0.0) / (1.0 - tau * self.k)
 
 
+class JumpAtAnchor(Potential):
+    """A smooth piece left of ``b``, then ``dj`` jumps up to about 1000 at ``b``.
+
+    Left of ``b`` the derivative rises, ``dj = r - b + 5``, or falls,
+    ``dj = 2 - exp(r - b)``.
+    """
+
+    def __init__(self, b=0.0, rising=True):
+        super().__init__(b)
+        self.rising = rising
+
+    def breakpoints(self):
+        return (self.b,)
+
+    def _piece(self, i, r):
+        d = r - self.b
+        if i:
+            return 1000.0 * d + 0.5 * d**2, 1000.0 + d, 1.0
+        if self.rising:
+            return 0.5 * d**2 + 5.0 * d, d + 5.0, 1.0
+        return 2.0 * d - np.exp(d), 2.0 - np.exp(d), -np.exp(d)
+
+
 # -- value / subdiff / j0 spot values ----------------------------------------
 
 
@@ -114,15 +129,15 @@ def test_exp_quadratic_value_at_anchor():
 
 
 def test_exp_quadratic_interval_at_anchor():
-    assert ExpQuadraticPotential(b=1.0).subdiff(1.0) == Interval(0.0, 1.0)
+    assert ExpQuadraticPotential(b=1.0).subdiff(1.0) == (0.0, 1.0)
 
 
 def test_abs_interval_at_anchor():
-    assert AbsPotential(b=0.5).subdiff(0.5) == Interval(-1.0, 1.0)
+    assert AbsPotential(b=0.5).subdiff(0.5) == (-1.0, 1.0)
 
 
 def test_quadratic_singleton():
-    assert QuadraticPotential(b=2.0).subdiff(5.0) == Interval(3.0, 3.0)
+    assert QuadraticPotential(b=2.0).subdiff(5.0) == (3.0, 3.0)
 
 
 def test_quadratic_j0():
@@ -143,17 +158,12 @@ def test_j0_vanishes_in_null_direction(pid):
 # -- conformance with the printed piecewise tables ---------------------------
 
 
-def conformance_grid(p):
-    return default_grid(p)
-
-
 def assert_table_conformance(p, table):
-    grid = conformance_grid(p)
-    for r in grid:
+    for r in default_grid(p):
         lo_exp, hi_exp, j0_exp = table(float(r))
-        iv = p.subdiff(float(r))
-        assert iv.lo == lo_exp, f"lo mismatch at r={r!r}: {iv.lo} != {lo_exp}"
-        assert iv.hi == hi_exp, f"hi mismatch at r={r!r}: {iv.hi} != {hi_exp}"
+        lo, hi = p.subdiff(float(r))
+        assert lo == lo_exp, f"lo mismatch at r={r!r}: {lo} != {lo_exp}"
+        assert hi == hi_exp, f"hi mismatch at r={r!r}: {hi} != {hi_exp}"
         got = p.j0(float(r), p.b - float(r))
         assert got == j0_exp, f"j0 mismatch at r={r!r}: {got} != {j0_exp}"
 
@@ -210,8 +220,8 @@ def test_power_ramp_table_conformance():
 
 def test_min_quadratics_hull_at_crossings():
     p = MinQuadraticsPotential(b=1.0)  # parabolas cross at b -/+ 1
-    assert p.subdiff(2.0) == Interval(1.0, 3.0)
-    assert p.subdiff(0.0) == Interval(-3.0, -1.0)
+    assert p.subdiff(2.0) == (1.0, 3.0)
+    assert p.subdiff(0.0) == (-3.0, -1.0)
     assert p.breakpoints() == (0.0, 2.0)
 
 
@@ -222,7 +232,7 @@ def test_min_quadratics_hull_at_inexact_crossings():
     assert len(p.breakpoints()) == 2
     for bp in p.breakpoints():
         d = bp - p.b
-        assert p.subdiff(bp) == Interval(min(p.k1 * d, p.k2 * d), max(p.k1 * d, p.k2 * d))
+        assert p.subdiff(bp) == (min(p.k1 * d, p.k2 * d), max(p.k1 * d, p.k2 * d))
     assert np.array_equal(p.slope(p.breakpoints()), [0.0, 0.0])
 
 
@@ -305,39 +315,32 @@ def test_exp_quadratic_shifted_subdifferential_monotone():
     assert np.all(upper[:-1] <= lower[1:] + 1e-12)
 
 
-def test_interval_helpers():
-    with pytest.raises(ValueError):
-        Interval(1.0, 0.0)
-
-
 # -- hypothesis checkers -------------------------------------------------------
 
 
-def test_growth_exp_quadratic_passes_with_declared_constants():
-    p = ExpQuadraticPotential(b=1.5)
-    report = check_growth(p)
-    assert report.passed
-    assert report.used_c0 == 1.0 + 2.0 * 1.5
-    assert report.used_c1 == 2.0
+def test_growth_exp_quadratic_derives_its_constants():
+    # the quadratic branch 2 (r - b) gives c1 = 2, and |dj| - 2|r| = 2b at r <= 0
+    report = check_growth(ExpQuadraticPotential(b=1.5))
+    assert report.passed and report.constants == (3.0, 2.0)
+    assert report.worst_margin == 0.0 and report.worst_point == (0.0,)
 
 
 def test_growth_abs_bounded():
     report = check_growth(AbsPotential(b=0.0))
-    assert report.passed
-    assert (report.used_c0, report.used_c1) == (1.0, 0.0)
+    assert report.passed and report.constants == (1.0, 0.0)
 
 
-def test_growth_fails_with_zero_constants():
-    report = check_growth(BoundlessQuadratic(b=2.0))
-    assert not report.passed
-    # |dj(r)| = |r - b| is largest at the ends of the grid, b -+ 10
-    assert report.worst_margin == 10.0 and report.worst_r == -8.0
+def test_growth_of_the_flatter_parabola():
+    # far out the flatter parabola (k = 1) wins; |dj| - |r| peaks at a crossing
+    # on the steeper one: |dj(0)| = 3 for the crossings b -+ 1 at b = 1
+    report = check_growth(MinQuadraticsPotential(b=1.0))
+    assert report.constants == (3.0, 1.0) and report.worst_point == (0.0,)
 
 
-def test_growth_without_declared_constants():
+def test_growth_fails_for_a_superlinear_ramp():
     report = check_growth(QuinticRampPotential(b=0.0, beta=1.0, c=0.0))
     assert not report.passed
-    assert report.fitted_c1 > 0.0
+    assert report.constants == (np.inf, np.inf) and report.worst_point == (np.inf,)
 
 
 def test_sign_condition_builtins():
@@ -347,6 +350,7 @@ def test_sign_condition_builtins():
 
 def test_sign_condition_truncated_strictly_negative_off_anchor():
     p = TruncatedQuadraticPotential(b=1.0)
+    assert check_strict_condition(p).passed
     grid = default_grid(p)
     vals = p.j0(grid, p.b - grid)
     assert np.all(vals[grid != p.b] < 0.0)
@@ -360,6 +364,16 @@ def test_strict_condition():
     assert check_strict_condition(QuadraticPotential(b=1.0)).passed
     assert check_strict_condition(AbsPotential(b=1.0)).passed
     assert not check_strict_condition(FlatPotential(b=1.0)).passed
+
+
+def test_strict_condition_allows_a_zero_limit_but_not_a_zero_piece():
+    # the exp branch's slope -exp(-(r-b)) tends to 0 at +inf and the well's
+    # slope to 0 at b: limits, not points, so the strict form holds
+    report = check_strict_condition(ExpQuadraticPotential(b=1.0))
+    assert report.passed and report.worst_margin == 0.0 and report.worst_point == (1.0,)
+    # the ramp is flat left of its kink c = b: slope 0 at both ends of a piece
+    report = check_strict_condition(QuinticRampPotential(b=1.0, c=1.0))
+    assert check_sign_condition(QuinticRampPotential(b=1.0, c=1.0)).passed and not report.passed
 
 
 @pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
@@ -381,12 +395,11 @@ PARAMETER_VARIANTS = [(pid, {}) for pid in ALL_IDS] + [
     ("truncated_quadratic", {"m1": -1.0, "m2": 0.5, "r0": 0.5}),
     ("quintic_ramp", {"beta": 0.3, "c": -0.7}),
 ]
+PARAMETER_IDS = [f"{pid}{params}" for pid, params in PARAMETER_VARIANTS]
 
 
 @pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
-@pytest.mark.parametrize(
-    "pid, params", PARAMETER_VARIANTS, ids=[f"{pid}{params}" for pid, params in PARAMETER_VARIANTS]
-)
+@pytest.mark.parametrize("pid, params", PARAMETER_VARIANTS, ids=PARAMETER_IDS)
 def test_relaxed_monotonicity_constant_matches_the_pair_sample(pid, params, b):
     p = make_potential(pid, b=b, **params)
     sample = relaxed_monotonicity_reference(p)
@@ -395,6 +408,56 @@ def test_relaxed_monotonicity_constant_matches_the_pair_sample(pid, params, b):
         assert p.concave_kinks() and p.m_j == np.inf and sample > 1e6
     else:
         assert abs(p.m_j - sample) <= 1e-6
+
+
+@pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
+@pytest.mark.parametrize("pid, params", PARAMETER_VARIANTS, ids=PARAMETER_IDS)
+def test_every_piece_has_one_curvature_sign(pid, params, b):
+    # the exact verdicts rest on this: each piece's derivative is monotone,
+    # so its extremes are its end values; m_j also needs the curvature to be
+    # extreme at the ends, and check_growth a constant curvature on an
+    # unbounded piece whose curvature tends to a finite nonzero limit, and
+    # |dj| - c1 |r| never above its largest value at a piece end
+    p = make_potential(pid, b=b, **params)
+    for i, (x0, x1, d0, d1, k0, k1) in enumerate(p.piece_ends()):
+        r = np.linspace(max(x0, b - 30.0), min(x1, b + 30.0), 2001)[1:-1]
+        _, d, k = (np.broadcast_to(np.asarray(v, dtype=float), r.shape) for v in p._piece(i, r))
+        assert np.all(k >= 0.0) or np.all(k <= 0.0), (i, x0, x1)
+        assert np.all((min(k0, k1) <= k) & (k <= max(k0, k1))), (i, x0, x1)
+        assert np.all((min(d0, d1) <= d) & (d <= max(d0, d1))), (i, x0, x1)
+        for x, limit in ((x0, k0), (x1, k1)):
+            if np.isinf(x) and np.isfinite(limit) and limit != 0.0:
+                assert np.all(k == limit), (i, x)
+    c0, c1 = check_growth(p).constants
+    if np.isfinite(c1):
+        r = np.linspace(b - 30.0, b + 30.0, 6001)
+        lo, hi = p.subdiff_bounds(r)
+        assert np.max(np.maximum(np.abs(lo), np.abs(hi)) - c1 * np.abs(r)) <= c0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
+@pytest.mark.parametrize("pid, params", PARAMETER_VARIANTS, ids=PARAMETER_IDS)
+def test_exact_verdicts_match_the_sampled_checks(pid, params, b):
+    p = make_potential(pid, b=b, **params)
+    assert check_sign_condition(p).passed == sign_condition_reference(p)
+    assert check_strict_condition(p).passed == strict_condition_reference(p)
+    assert check_scaled_sign_condition(p).passed == scaled_sign_condition_reference(p)
+    growth = check_growth(p)
+    if pid in ("quintic_ramp", "power_ramp"):
+        assert not growth.passed and growth.constants[1] == np.inf
+    else:
+        c0, c1 = growth.constants
+        assert growth.passed and c0 == pytest.approx(growth_reference(p, c1), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("b", (0.0, 0.8, 1.0, 1.5))
+def test_a_ramp_kinked_just_below_the_anchor_fails_the_exact_sign_condition(b):
+    # dj = 5 (r - c)^4 is 5e-24 > 0 just left of b: the sample stays under
+    # its 1e-14 slack and passes, the piece end at b does not
+    p = make_potential("quintic_ramp", b=b, c=b - 1e-6)
+    report = check_sign_condition(p)
+    assert sign_condition_reference(p) and not report.passed
+    assert report.worst_margin == pytest.approx(5e-24, rel=1e-6) and report.worst_point == (b,)
 
 
 def test_concave_kinks_make_the_relaxed_monotonicity_constant_infinite():
@@ -417,14 +480,15 @@ def test_a_law_with_only_a_piece_table_and_prox_gets_its_constants(k):
 
 
 def test_relaxed_monotonicity_constant_is_derived_once_per_instance(monkeypatch):
-    grids = []
-    grid = hviheat.potentials.default_grid
-    monkeypatch.setattr(hviheat.potentials, "default_grid", lambda p: grids.append(p) or grid(p))
+    tables = []
+    ends = Potential.piece_ends
+    monkeypatch.setattr(Potential, "piece_ends", lambda p, *a: tables.append(p) or ends(p, *a))
     p = ExpQuadraticPotential(b=1.0)
-    assert (p.m_j, p.convex, p.m_j, p.convex) == (1.0, False, 1.0, False)
-    assert grids == [p]
+    assert p.m_j == 1.0
+    derived = len(tables)
+    assert (p.convex, p.m_j, p.convex) == (False, 1.0, False) and len(tables) == derived
     fresh = ExpQuadraticPotential(b=1.0)
-    assert fresh.m_j == 1.0 and grids == [p, fresh]
+    assert fresh.m_j == 1.0 and tables == [p] * derived + [fresh] * derived
 
 
 def test_concave_quadratic_curves_by_minus_one():
@@ -440,6 +504,20 @@ def test_scaled_sign_condition_outcomes():
     assert check_scaled_sign_condition(TruncatedQuadraticPotential(b=1.0)).passed
     assert not check_scaled_sign_condition(ExpQuadraticPotential(b=1.0)).passed
     assert not check_scaled_sign_condition(MinQuadraticsPotential(b=1.0)).passed
+
+
+@pytest.mark.parametrize("rising", (True, False))
+def test_scaled_sign_condition_peaks_inside_a_piece_below_the_anchor(rising):
+    # the jump at b hides both from the comparison across b: on the rising
+    # piece c dj(s) - dj(r) peaks as s, r -> b, at (c - 1) dj(b-) = 99 * 5;
+    # on the falling one as s -> -inf and r -> b, at c dj(-inf) - dj(b-) = 100 * 2 - 1
+    p = JumpAtAnchor(b=0.0, rising=rising)
+    report = check_scaled_sign_condition(p)
+    assert not report.passed and not scaled_sign_condition_reference(p)
+    if rising:
+        assert report.worst_margin == 495.0 and report.worst_point == (0.0, 0.0, 100.0)
+    else:
+        assert report.worst_margin == 199.0 and report.worst_point == (-np.inf, 0.0, 100.0)
 
 
 # -- scalar resolvent (prox) ---------------------------------------------------
@@ -532,6 +610,6 @@ def test_tresca_ignores_anchor_in_value():
 
 
 def test_power_ramp_growth_superlinear():
-    p = PowerRampPotential(b=0.0, beta=1.0)
-    assert p.c0 is None
-    assert check_growth(p).details
+    # the curvature (9/4)(5/4) r^{1/4} has no finite limit at +inf
+    report = check_growth(PowerRampPotential(b=0.0, beta=1.0))
+    assert not report.passed and report.constants[1] == np.inf
